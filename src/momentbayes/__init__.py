@@ -30,7 +30,6 @@ from .model import (
 from .normalization import (
     LogZeta,
     SeriesParams,
-    kummer_m_log,
     log_zeta,
     moment_of_f,
     posterior_mean,
@@ -40,6 +39,7 @@ from .normalization import (
 from .oracle import (
     MonteCarloMoments,
     OracleEstimate,
+    kummer_m_log,
     montecarlo_moments,
     quadrature_zeta,
 )

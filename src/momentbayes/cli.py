@@ -161,7 +161,6 @@ def cmd_oracle(args) -> int:
         "beta": beta,
         "method": args.method,
         "series_log_zeta": series.log_value,
-        "series_method": series.method,
     }
     if args.method == "quadrature":
         est = oracle.quadrature_zeta(problem, beta)

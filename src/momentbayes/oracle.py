@@ -1,9 +1,11 @@
 """Independent verification paths for the normalization and its moments.
 
-Two routes that share no code with the series evaluator: iterated adaptive
-quadrature over the simplex in reduced coordinates (small dimension only),
-and self-normalized importance sampling from the conjugate proposal with
-weights ``exp(beta * f . theta)``.
+Three routes that share no code with the series evaluator: iterated
+adaptive quadrature over the simplex in reduced coordinates (small
+dimension only), self-normalized importance sampling from the conjugate
+proposal with weights ``exp(beta * f . theta)``, and the confluent
+hypergeometric function ``kummer_m_log``, which gives ``Z`` in closed form
+for ``k = 2``.  ``scipy.integrate`` is loaded only when quadrature runs.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln
 
-from .errors import DimensionTooHigh, ToleranceNotMet
+from .errors import DimensionTooHigh, NoConvergence, ToleranceNotMet
 from .model import Problem
 
 QUADRATURE_MAX_K = 4
@@ -23,6 +24,10 @@ DEFAULT_REL_TOL = 1e-10
 MIN_SAMPLES = 10**3
 LOW_ESS = 100.0
 _BATCH = 1 << 17
+_KUMMER_EPS = 1e-15
+_KUMMER_RUN = 3
+_KUMMER_MAX_TERMS = 10**6
+_LINEAR_SUM_MAX_T = 500.0
 
 
 @dataclass(frozen=True)
@@ -51,8 +56,11 @@ def quadrature_zeta(p: Problem, beta: float,
 
     Integrates in the reduced coordinates (the last coordinate eliminated
     via ``1 - sum``), innermost dimension adapting first.  Deterministic;
-    raises when the error estimate cannot be brought under ``rel_tol``.
+    raises when the error estimate cannot be brought under ``rel_tol`` or
+    the integrand underflows to zero.
     """
+    from scipy import integrate
+
     k = p.k
     if k > QUADRATURE_MAX_K:
         raise DimensionTooHigh(
@@ -98,8 +106,10 @@ def quadrature_zeta(p: Problem, beta: float,
         lambda x: nest([x], 1),
         0.0, 1.0, epsabs=0.0, epsrel=eps[0], limit=500,
     )
+    if not math.isfinite(val) or val <= 0.0:
+        raise ToleranceNotMet(f"integral {val!r} is not a finite positive number")
     est_rel = abserr / val + sum(eps[1:])
-    if not math.isfinite(val) or val <= 0.0 or est_rel > rel_tol:
+    if est_rel > rel_tol:
         raise ToleranceNotMet(
             f"estimated relative error {est_rel:.3g} exceeds {rel_tol:.3g}"
         )
@@ -172,3 +182,57 @@ def montecarlo_moments(p: Problem, beta: float, samples: int,
         ess=float(ess),
         low_ess=bool(ess < LOW_ESS),
     )
+
+
+def kummer_m_log(a: float, b: float, t: float) -> float:
+    """``ln M(a; b; t)`` where ``M`` is the confluent hypergeometric series
+    ``sum_q (a)_q / (b)_q * t^q / q!``.
+
+    With ``k = 2`` it gives the normalization in closed form:
+    ``Z = exp(beta f_2) B(a_1, a_2) M(a_1; a_1 + a_2; beta (f_1 - f_2))``
+    with ``a_i = m_i + alpha_i``.
+
+    Requires ``b > a > 0``.  For ``t < 0`` the transformation
+    ``M(a; b; t) = exp(t) * M(b - a; b; -t)`` is applied so that all summed
+    terms are positive.  Accurate to a relative error of about 1e-13 for
+    ``|t| <= 200`` and ``a, b <= 1e4``.
+    """
+    if not (b > a > 0.0):
+        raise ValueError(f"require b > a > 0, got a={a}, b={b}")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
+    if t == 0.0:
+        return 0.0
+    if t < 0.0:
+        return t + kummer_m_log(b - a, b, -t)
+    if t <= _LINEAR_SUM_MAX_T:
+        # All terms positive and bounded by exp(t): safe in linear domain,
+        # which keeps the Pochhammer ratios exact to a few ulp.
+        term = 1.0
+        total = 1.0
+        run = 0
+        for q in range(_KUMMER_MAX_TERMS):
+            term *= (a + q) / (b + q) * t / (q + 1.0)
+            total += term
+            if term < _KUMMER_EPS * total:
+                run += 1
+                if run >= _KUMMER_RUN:
+                    return math.log(total)
+            else:
+                run = 0
+        raise NoConvergence(f"Kummer series not converged after {_KUMMER_MAX_TERMS} terms")
+    # Large t: stream the same sum in log domain.
+    log_t = math.log(t)
+    log_term = 0.0
+    log_total = 0.0
+    run = 0
+    for q in range(1, _KUMMER_MAX_TERMS):
+        log_term += math.log(a + q - 1.0) - math.log(b + q - 1.0) + log_t - math.log(q)
+        log_total = np.logaddexp(log_total, log_term)
+        if log_term - log_total < math.log(_KUMMER_EPS):
+            run += 1
+            if run >= _KUMMER_RUN:
+                return float(log_total)
+        else:
+            run = 0
+    raise NoConvergence(f"Kummer series not converged after {_KUMMER_MAX_TERMS} terms")

@@ -205,7 +205,6 @@ class TestOracleCommand:
                     "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert abs(report["discrepancy"]) <= 1e-8
-        assert report["series_method"] == "series"
 
     def test_montecarlo_reproducible(self, spec_file, tmp_path):
         out1, out2 = tmp_path / "o1.json", tmp_path / "o2.json"
@@ -240,6 +239,13 @@ class TestOracleCommand:
         assert run(["oracle", "--spec", spec, "--method", "quadrature",
                     "--beta", "1.0"]) == 4
         assert json.loads(capsys.readouterr().err)["error"] == "DimensionTooHigh"
+
+    def test_underflowing_integrand_exit_code(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "s.json", labels=(0, 1), counts=(800, 800),
+                          target=0.5)
+        assert run(["oracle", "--spec", spec, "--method", "quadrature",
+                    "--beta", "0"]) == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "ToleranceNotMet"
 
 
 class TestParser:

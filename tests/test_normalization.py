@@ -7,7 +7,6 @@ from scipy.special import gammaln
 
 from momentbayes import (
     bayes_posterior_mean,
-    kummer_m_log,
     log_zeta,
     make_problem,
     moment_of_f,
@@ -18,7 +17,8 @@ from momentbayes import (
     variance_of_f,
 )
 from momentbayes.errors import NoConvergence
-from momentbayes.normalization import SeriesParams, moment_and_slope
+from momentbayes.normalization import SeriesParams, _series_log_zeta, moment_and_slope
+from momentbayes.oracle import kummer_m_log
 
 from conftest import (
     DEMO_BAYES,
@@ -138,7 +138,6 @@ class TestLogZeta:
         )
         lz = log_zeta(demo, 0.0)
         assert lz.log_value == pytest.approx(float(expected), abs=1e-13)
-        assert lz.converged and lz.method == "series"
 
     def test_demo_multiplier_reference_value(self, demo):
         lz = log_zeta(demo, DEMO_BETA)
@@ -151,6 +150,25 @@ class TestLogZeta:
         assert log_zeta(p, 1.0).log_value == pytest.approx(
             math.log(3.0 - math.e), abs=1e-12
         )
+
+    def test_two_outcome_non_integer_kummer_closed_form(self):
+        # Z = e^{beta f_2} B(a_1, a_2) M(a_1; a_1 + a_2; beta (f_1 - f_2))
+        # with a_i = m_i + alpha_i; pseudo-counts below 1 with no counts
+        # give exponents in (-1, 0).
+        rng = np.random.default_rng(22)
+        below_zero = 0
+        for _ in range(60):
+            labels = np.sort(rng.uniform(0.0, 1.5, size=2))
+            counts = rng.integers(0, 4, size=2)
+            pcs = rng.uniform(0.05, 3.0, size=2)
+            p = make_problem(labels, counts, float(labels.mean()), pcs)
+            beta = float(rng.uniform(-40.0, 40.0))
+            a1, a2 = (float(x) for x in counts + pcs)
+            log_b = math.lgamma(a1) + math.lgamma(a2) - math.lgamma(a1 + a2)
+            ref = beta * labels[1] + log_b + kummer_m_log(a1, a1 + a2, beta * (labels[0] - labels[1]))
+            assert abs(log_zeta(p, beta).log_value - ref) <= 1e-12
+            below_zero += int(min(p.exponents()) < 0.0)
+        assert below_zero >= 10
 
     def test_finite_and_positive(self):
         rng = np.random.default_rng(12)
@@ -204,10 +222,11 @@ class TestLogZeta:
             quad = quadrature_zeta(p, beta).log_value
             assert abs(series - quad) <= 1e-8
 
-    def test_non_integer_prior_routes_to_quadrature(self):
+    def test_non_integer_prior_on_series_path(self):
         p = make_problem((0, 1), (0, 2), 0.6, pseudo_counts=(0.5, 1.0))
         lz = log_zeta(p, 3.0)
-        assert lz.method == "quadrature"
+        series = _series_log_zeta(p.labels_array(), p.exponents(), 3.0)
+        assert (lz.log_value, lz.terms_used) == series[:2]
         # Oracle: high-precision one-dimensional integral of
         # x^(-1/2) (1-x)^2 e^(3(1-x)) over (0,1), exponents (m + alpha - 1).
         with mp.workdps(40):
@@ -219,7 +238,6 @@ class TestLogZeta:
     def test_integer_nonflat_prior_stays_on_series(self, demo):
         p = make_problem(DEMO_LABELS, DEMO_COUNTS, 2.3, pseudo_counts=(2, 1, 3))
         lz = log_zeta(p, 4.0)
-        assert lz.method == "series"
         quad = quadrature_zeta(p, 4.0).log_value
         assert abs(lz.log_value - quad) <= 1e-8
 
@@ -308,12 +326,50 @@ class TestVarianceOfF:
             assert variance_of_f(p, float(rng.uniform(-12, 12))) >= 0.0
 
 
+def quadrature_variance(p, beta):
+    """``Var(f . theta)`` from quadrature ratios: ``E[theta_i] =
+    Z(e + delta_i) / Z(e)`` and ``E[theta_i theta_j] = Z(e + delta_i +
+    delta_j) / Z(e)``, with labels centred at the moment."""
+
+    def log_z(*shift):
+        pcs = np.array(p.prior.pseudo_counts, dtype=float)
+        for i in shift:
+            pcs[i] += 1.0
+        q = make_problem(p.model.labels, p.data.counts, p.moment_target, pcs)
+        return quadrature_zeta(q, beta).log_value
+
+    base = log_z()
+    means = np.array([math.exp(log_z(i) - base) for i in range(p.k)])
+    second = np.empty((p.k, p.k))
+    for i in range(p.k):
+        for j in range(i, p.k):
+            second[i, j] = second[j, i] = math.exp(log_z(i, j) - base)
+    c = p.labels_array() - float(p.labels_array() @ means)
+    return float(c @ second @ c) - float(c @ means) ** 2
+
+
 class TestMomentAndSlopeConsistency:
     def test_matches_ratio_identities(self):
+        # The slope is checked against quadrature, which shares no code
+        # with the series; k <= 3 keeps the (k+1)(k+2)/2 integrals cheap.
         rng = np.random.default_rng(21)
         for _ in range(15):
-            p = random_problem(rng)
+            p = random_problem(rng, k=int(rng.integers(2, 4)))
             beta = float(rng.uniform(-12, 12))
             mom, slope = moment_and_slope(p, beta)
             assert mom == pytest.approx(moment_of_f(p, beta), abs=1e-9)
-            assert slope == pytest.approx(variance_of_f(p, beta), abs=1e-9)
+            assert slope == pytest.approx(quadrature_variance(p, beta), abs=1e-9)
+            assert variance_of_f(p, beta) == slope
+
+    @pytest.mark.parametrize("beta", [1e-160, -1e-160, 1e-300, 5e-324])
+    def test_tiny_multiplier_uses_closed_form(self, demo, beta):
+        # Below double resolution in beta * (f_max - f_min) the beta = 0
+        # conjugate values are exact to rounding; the series moments there
+        # are subnormal or zero.
+        mean = np.asarray(DEMO_BAYES)
+        f = demo.labels_array()
+        cov = (np.diag(mean) - np.outer(mean, mean)) / (20 + 3 + 1)
+        mom, slope = moment_and_slope(demo, beta)
+        assert mom == pytest.approx(DEMO_BAYES_MOMENT, rel=1e-14)
+        assert slope == pytest.approx(float(f @ cov @ f), rel=1e-12)
+        assert variance_of_f(demo, beta) == slope

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
+import momentbayes
 from momentbayes import (
     bayes_posterior_mean,
     log_zeta,
@@ -48,6 +53,12 @@ class TestQuadrature:
     def test_unreachable_tolerance(self, demo):
         with pytest.raises(ToleranceNotMet):
             quadrature_zeta(demo, 2.0, rel_tol=1e-16)
+
+    def test_underflowing_integrand(self):
+        # x^800 (1-x)^800 peaks at 4^-800, below the smallest double.
+        p = make_problem((0, 1), (800, 800), 0.5)
+        with pytest.raises(ToleranceNotMet):
+            quadrature_zeta(p, 0.0)
 
 
 class TestMonteCarlo:
@@ -115,3 +126,15 @@ class TestCrossAgreement:
             mm = montecarlo_moments(p, beta, 10**5, seed=int(rng.integers(1 << 30)))
             se = max(mm.estimate.std_error, 1e-12)
             assert abs(q.log_value - mm.estimate.log_value) <= 3.5 * se
+
+
+class TestImport:
+    def test_package_import_leaves_quadrature_unloaded(self):
+        # A fresh interpreter that imports this very copy of the package.
+        src = str(Path(momentbayes.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, momentbayes; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"

@@ -11,6 +11,7 @@ from momentbayes import (
     make_problem,
     moment_of_f,
     montecarlo_moments,
+    normalization,
     solve_beta,
     solve_beta_detailed,
     sweep,
@@ -124,6 +125,39 @@ class TestFullUpdate:
         assert res.beta == 0.0
         np.testing.assert_allclose(res.means, bayes_posterior_mean(p), rtol=1e-14)
         assert res.variance_of_f == 0.0
+
+    def test_tiny_guess(self, demo):
+        res = full_update(demo, guess=1e-300)
+        assert res.beta == pytest.approx(DEMO_BETA, abs=5e-4)
+        assert res.residual <= TOL
+
+    def test_series_pass_budget(self, demo, monkeypatch):
+        # 10 passes solve the demo; the means take k + 1, ln Z one and the
+        # variance one.  A change to this count is a deliberate decision.
+        calls = []
+        inner = normalization._series_pass
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(normalization, "_series_pass", counting)
+        full_update(demo)
+        assert len(calls) <= 16
+
+    def test_five_outcome_non_integer_prior(self):
+        # Beyond the quadrature oracle's k <= 4: cross-checked by
+        # importance sampling at the solved multiplier.
+        p = make_problem((0.0, 0.3, 0.5, 0.8, 1.0), (3, 0, 2, 5, 1), 0.6,
+                         pseudo_counts=(0.5, 0.3, 1.7, 0.9, 0.2))
+        res = full_update(p)
+        assert res.residual <= TOL
+        assert abs(sum(res.means) - 1.0) <= 1e-10
+        assert res.variance_of_f > 0.0
+        mm = montecarlo_moments(p, res.beta, 10**6, seed=8)
+        assert abs(res.log_zeta - mm.estimate.log_value) <= 4.0 * mm.estimate.std_error
+        for i in range(p.k):
+            assert abs(res.means[i] - mm.means[i]) <= 4.0 * mm.mean_std_errors[i]
 
     def test_no_data_pure_constraint_case(self):
         # Only the prior and the moment constraint; cross-checked by
