@@ -29,11 +29,9 @@ from .model import (
 )
 from .normalization import (
     LogZeta,
-    SeriesParams,
     log_zeta,
     moment_of_f,
     posterior_mean,
-    series_levels,
     variance_of_f,
 )
 from .oracle import (
@@ -63,7 +61,6 @@ __all__ = [
     "OutcomeModel",
     "PriorSpec",
     "Problem",
-    "SeriesParams",
     "SimplexPoint",
     "SolveDiagnostics",
     "SweepPoint",
@@ -81,7 +78,6 @@ __all__ = [
     "montecarlo_moments",
     "posterior_mean",
     "quadrature_zeta",
-    "series_levels",
     "solve_beta",
     "solve_beta_detailed",
     "solve_tilt",

@@ -155,12 +155,12 @@ def cmd_oracle(args) -> int:
         beta = args.beta
     else:
         beta = solver.full_update(problem, tol=args.tol, beta_cap=args.beta_cap).beta
-    series = normalization.log_zeta(problem, beta)
+    log_z = normalization.log_zeta(problem, beta).log_value
     report = {
         "spec": echo,
         "beta": beta,
         "method": args.method,
-        "series_log_zeta": series.log_value,
+        "log_zeta": log_z,
     }
     if args.method == "quadrature":
         est = oracle.quadrature_zeta(problem, beta)
@@ -168,7 +168,7 @@ def cmd_oracle(args) -> int:
             log_value=est.log_value,
             std_error=est.std_error,
             evaluations=est.samples_or_evals,
-            discrepancy=est.log_value - series.log_value,
+            discrepancy=est.log_value - log_z,
         )
     else:
         mm = oracle.montecarlo_moments(problem, beta, args.samples, args.seed)
@@ -177,7 +177,7 @@ def cmd_oracle(args) -> int:
             std_error=mm.estimate.std_error,
             samples=mm.estimate.samples_or_evals,
             seed=mm.estimate.seed,
-            discrepancy=mm.estimate.log_value - series.log_value,
+            discrepancy=mm.estimate.log_value - log_z,
             means=list(mm.means),
             mean_std_errors=list(mm.mean_std_errors),
             ess=mm.ess,

@@ -64,7 +64,8 @@ class Diverged(SolverError):
 
 
 class NoConvergence(SolverError):
-    """Iteration or series budget exhausted before the stopping rule held."""
+    """A budget ran out before the stopping rule held: the solver's
+    evaluations, the contour's spacing halvings, or a series' terms."""
 
 
 class OracleError(MomentBayesError):
@@ -77,3 +78,7 @@ class DimensionTooHigh(OracleError):
 
 class ToleranceNotMet(OracleError):
     pass
+
+
+class OracleUnavailable(OracleError):
+    """The oracle needs an optional dependency (scipy) that is not installed."""

@@ -1,22 +1,29 @@
 """Independent verification paths for the normalization and its moments.
 
-Three routes that share no code with the series evaluator: iterated
-adaptive quadrature over the simplex in reduced coordinates (small
-dimension only), self-normalized importance sampling from the conjugate
-proposal with weights ``exp(beta * f . theta)``, and the confluent
-hypergeometric function ``kummer_m_log``, which gives ``Z`` in closed form
-for ``k = 2``.  ``scipy.integrate`` is loaded only when quadrature runs.
+Four routes that share no code with the contour evaluator:
+
+- iterated adaptive quadrature over the simplex in reduced coordinates
+  (small dimension only);
+- self-normalized importance sampling from the conjugate proposal with
+  weights ``exp(beta * f . theta)``;
+- the nested positive-term series for any ``k``: ``ln Z`` and, by term-wise
+  differentiation, the moment of ``f . theta`` and its slope in beta;
+- the confluent hypergeometric function ``kummer_m_log``, which gives ``Z``
+  in closed form for ``k = 2``.
+
+Quadrature and the series need scipy, which is imported only when they run;
+without it they raise :class:`OracleUnavailable`.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .errors import DimensionTooHigh, NoConvergence, ToleranceNotMet
+from .errors import DimensionTooHigh, NoConvergence, OracleUnavailable, ToleranceNotMet
 from .model import Problem
 
 QUADRATURE_MAX_K = 4
@@ -28,6 +35,7 @@ _KUMMER_EPS = 1e-15
 _KUMMER_RUN = 3
 _KUMMER_MAX_TERMS = 10**6
 _LINEAR_SUM_MAX_T = 500.0
+_SERIES_TAIL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -50,6 +58,16 @@ class MonteCarloMoments:
     low_ess: bool
 
 
+def _scipy(name: str):
+    """``scipy.<name>``, or :class:`OracleUnavailable` when scipy is missing."""
+    try:
+        return importlib.import_module(f"scipy.{name}")
+    except ImportError as exc:
+        raise OracleUnavailable(
+            f"this oracle needs scipy ({exc}); install the 'oracle' extra"
+        ) from exc
+
+
 def quadrature_zeta(p: Problem, beta: float,
                     rel_tol: float = DEFAULT_REL_TOL) -> OracleEstimate:
     """``ln Z`` by iterated one-dimensional adaptive quadrature.
@@ -59,8 +77,7 @@ def quadrature_zeta(p: Problem, beta: float,
     raises when the error estimate cannot be brought under ``rel_tol`` or
     the integrand underflows to zero.
     """
-    from scipy import integrate
-
+    integrate = _scipy("integrate")
     k = p.k
     if k > QUADRATURE_MAX_K:
         raise DimensionTooHigh(
@@ -166,7 +183,7 @@ def montecarlo_moments(p: Problem, beta: float, samples: int,
     w_mean = sw / samples
     w_var = max(sw2 / samples - w_mean**2, 0.0) * samples / max(samples - 1, 1)
     log_se = math.sqrt(w_var / samples) / w_mean
-    ln_b = float(gammaln(al).sum() - gammaln(al.sum()))
+    ln_b = sum(math.lgamma(x) for x in al.tolist()) - math.lgamma(float(al.sum()))
     ess = sw * sw / sw2 if sw2 > 0.0 else 0.0
     estimate = OracleEstimate(
         log_value=ln_b + c + math.log(w_mean),
@@ -182,6 +199,95 @@ def montecarlo_moments(p: Problem, beta: float, samples: int,
         ess=float(ess),
         low_ess=bool(ess < LOW_ESS),
     )
+
+
+@dataclass(frozen=True)
+class SeriesParams:
+    """Parameters of one level of the nested series, at zero prefix sum."""
+
+    a: float
+    b: float
+    t: float
+    level: int
+
+    def __post_init__(self) -> None:
+        if not (self.a > 0.0):
+            raise ValueError(f"level {self.level}: a must be positive, got {self.a}")
+        if not (self.b > self.a):
+            # The Beta prefactor Gamma(b - a) must be finite; the series
+            # also needs b > a for its terms to decay.
+            raise ValueError(f"level {self.level}: require b > a, got a={self.a}, b={self.b}")
+
+
+def series_levels(p: Problem, beta: float) -> list[SeriesParams]:
+    """Per-level ``(a_j, b_j, t_j)`` of the nested series, outermost first.
+
+    The eliminated coordinate ``piv`` minimizes ``beta * f``, so every
+    ``t_j = beta * (f_j - f_piv) >= 0``; ``b_j - a_j`` accumulates ``a_piv``
+    and the ``a`` of the inner levels.
+    """
+    f = p.labels_array()
+    a = p.exponents() + 1.0
+    piv = int(np.argmin(beta * f))
+    d = float(a[piv])
+    levels = []
+    for j, i in enumerate(i for i in reversed(range(p.k)) if i != piv):
+        ai = float(a[i])
+        levels.append(SeriesParams(a=ai, b=ai + d, t=beta * float(f[i] - f[piv]), level=j + 1))
+        d += ai
+    return levels
+
+
+def series_zeta(p: Problem, beta: float) -> tuple[float, float, float]:
+    """``(ln Z, moment, slope)`` from the nested positive-term series.
+
+    Eliminating ``piv`` and expanding each remaining exponential-weighted
+    Beta integral gives nested Kummer-type sums of positive terms.  Level
+    ``j`` sums ``q_j`` to a cap 14 standard deviations past its bulk, with
+    the running prefix sum ``Q`` of the outer indices threaded into every
+    inner level; everything is summed in log domain.  Term-wise
+    differentiation in beta gives, with ``S`` the total summation index
+    under the term measure, ``d ln Z / d beta = f_piv + E[S] / beta`` and
+    ``d^2 ln Z / d beta^2 = (E[S(S-1)] - E[S]^2) / beta^2``.  Memory grows as
+    the product of the level caps, so keep ``|beta|`` times the label span
+    modest.  Raises :class:`ToleranceNotMet` when a level's last terms are
+    not negligible.
+    """
+    if not math.isfinite(beta) or beta == 0.0:
+        raise ValueError(f"beta must be finite and nonzero, got {beta!r}")
+    gammaln = _scipy("special").gammaln
+    f = p.labels_array()
+    f_piv = float(f[int(np.argmin(beta * f))])
+    levels = series_levels(p, beta)
+    caps = [int(math.ceil(lv.t + 14.0 * math.sqrt(lv.t + 8.0) + 60.0)) if lv.t > 0.0 else 0
+            for lv in levels]
+    value = es = ess1 = None  # per prefix sum Q of the outer indices
+    for j in range(len(levels) - 1, -1, -1):
+        lv = levels[j]
+        q = np.arange(caps[j] + 1)
+        u = gammaln(lv.a + q) - gammaln(1.0 + q)
+        if lv.t > 0.0:
+            u = u + q * math.log(lv.t)
+        rows = np.arange(sum(caps[:j]) + 1)
+        idx = rows[:, None] + q[None, :]
+        inner = -gammaln(lv.b + np.arange(idx[-1, -1] + 1))
+        if value is not None:
+            inner = inner + value
+        terms = u[None, :] + gammaln(lv.b - lv.a + rows)[:, None] + inner[idx]
+        top = terms.max(axis=1, keepdims=True)
+        w = np.exp(terms - top)
+        z = w.sum(axis=1)
+        if caps[j] > 0 and (w[:, -3:] / z[:, None]).max() >= _SERIES_TAIL:
+            raise ToleranceNotMet(f"series level {lv.level} not converged at {caps[j]} terms")
+        inner_es = es[idx] if es is not None else 0.0
+        inner_ess1 = ess1[idx] if ess1 is not None else 0.0
+        value = np.log(z) + top[:, 0]
+        es, ess1 = (
+            (w * (q + inner_es)).sum(axis=1) / z,
+            (w * (q * (q - 1.0) + 2.0 * q * inner_es + inner_ess1)).sum(axis=1) / z,
+        )
+    s1, s2 = float(es[0]), float(ess1[0])
+    return beta * f_piv + float(value[0]), f_piv + s1 / beta, (s2 - s1 * s1) / (beta * beta)
 
 
 def kummer_m_log(a: float, b: float, t: float) -> float:

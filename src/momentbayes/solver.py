@@ -62,8 +62,9 @@ def solve_increasing(value, newton, target, *, tol, cap, guess=0.0,
     """
     if not (tol > 0.0) or not (cap > 0.0):
         raise ValueError(f"tol and cap must be positive, got tol={tol}, cap={cap}")
-    # Terminate slightly inside the requested tolerance so that residuals
-    # re-measured through the ratio-identity path still satisfy it.
+    # Terminate slightly inside the requested tolerance so that the residual
+    # re-measured as f . means, which rounds differently from the moment,
+    # still satisfies it.
     stop = 0.5 * tol
     evals = 0
 
@@ -195,7 +196,7 @@ def full_update(p: Problem, tol: float = DEFAULT_TOL,
             diagnostics=SolveDiagnostics(0, (0.0, 0.0), 0.0),
         )
     beta, diag = solve_beta_detailed(p, tol, beta_cap, guess)
-    means = normalization.posterior_mean(p, beta)
+    log_z, means, _, variance, _ = normalization._evaluate(p, beta)
     residual = abs(float(np.dot(f, means)) - p.moment_target)
     if residual > tol or abs(float(means.sum()) - 1.0) > 1e-10:
         raise NoConvergence(
@@ -204,9 +205,9 @@ def full_update(p: Problem, tol: float = DEFAULT_TOL,
     return MEPosterior(
         problem=p,
         beta=beta,
-        log_zeta=normalization.log_zeta(p, beta).log_value,
+        log_zeta=log_z,
         means=tuple(float(x) for x in means),
-        variance_of_f=normalization.variance_of_f(p, beta),
+        variance_of_f=variance,
         residual=residual,
         diagnostics=diag,
     )

@@ -205,6 +205,8 @@ class TestOracleCommand:
                     "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert abs(report["discrepancy"]) <= 1e-8
+        assert report["discrepancy"] == report["log_value"] - report["log_zeta"]
+        assert "series_log_zeta" not in report
 
     def test_montecarlo_reproducible(self, spec_file, tmp_path):
         out1, out2 = tmp_path / "o1.json", tmp_path / "o2.json"

@@ -13,12 +13,11 @@ from momentbayes import (
     montecarlo_moments,
     posterior_mean,
     quadrature_zeta,
-    series_levels,
     variance_of_f,
 )
-from momentbayes.errors import NoConvergence
-from momentbayes.normalization import SeriesParams, _series_log_zeta, moment_and_slope
-from momentbayes.oracle import kummer_m_log
+from momentbayes import normalization
+from momentbayes.normalization import _contour, _evaluate, moment_and_slope
+from momentbayes.oracle import SeriesParams, kummer_m_log, series_levels, series_zeta
 
 from conftest import (
     DEMO_BAYES,
@@ -153,6 +152,7 @@ class TestLogZeta:
 
     def test_two_outcome_non_integer_kummer_closed_form(self):
         # Z = e^{beta f_2} B(a_1, a_2) M(a_1; a_1 + a_2; beta (f_1 - f_2))
+        # and E[theta_1] = a_1 / A * M(a_1 + 1; A + 1; t) / M(a_1; A; t)
         # with a_i = m_i + alpha_i; pseudo-counts below 1 with no counts
         # give exponents in (-1, 0).
         rng = np.random.default_rng(22)
@@ -164,9 +164,15 @@ class TestLogZeta:
             p = make_problem(labels, counts, float(labels.mean()), pcs)
             beta = float(rng.uniform(-40.0, 40.0))
             a1, a2 = (float(x) for x in counts + pcs)
+            t = beta * (labels[0] - labels[1])
             log_b = math.lgamma(a1) + math.lgamma(a2) - math.lgamma(a1 + a2)
-            ref = beta * labels[1] + log_b + kummer_m_log(a1, a1 + a2, beta * (labels[0] - labels[1]))
+            ref = beta * labels[1] + log_b + kummer_m_log(a1, a1 + a2, t)
+            m1 = a1 / (a1 + a2) * math.exp(
+                kummer_m_log(a1 + 1.0, a1 + a2 + 1.0, t) - kummer_m_log(a1, a1 + a2, t))
+            _, means, moment, _, _ = _evaluate(p, beta)
             assert abs(log_zeta(p, beta).log_value - ref) <= 1e-12
+            assert abs(means[0] - m1) <= 1e-12
+            assert abs(moment - (labels[0] * m1 + labels[1] * (1.0 - m1))) <= 1e-12
             below_zero += int(min(p.exponents()) < 0.0)
         assert below_zero >= 10
 
@@ -222,11 +228,10 @@ class TestLogZeta:
             quad = quadrature_zeta(p, beta).log_value
             assert abs(series - quad) <= 1e-8
 
-    def test_non_integer_prior_on_series_path(self):
+    def test_non_integer_prior_matches_series_oracle(self):
         p = make_problem((0, 1), (0, 2), 0.6, pseudo_counts=(0.5, 1.0))
         lz = log_zeta(p, 3.0)
-        series = _series_log_zeta(p.labels_array(), p.exponents(), 3.0)
-        assert (lz.log_value, lz.terms_used) == series[:2]
+        assert abs(lz.log_value - series_zeta(p, 3.0)[0]) <= 1e-12
         # Oracle: high-precision one-dimensional integral of
         # x^(-1/2) (1-x)^2 e^(3(1-x)) over (0,1), exponents (m + alpha - 1).
         with mp.workdps(40):
@@ -241,9 +246,143 @@ class TestLogZeta:
         quad = quadrature_zeta(p, 4.0).log_value
         assert abs(lz.log_value - quad) <= 1e-8
 
-    def test_no_convergence_beyond_level_budget(self, demo):
-        with pytest.raises(NoConvergence):
-            log_zeta(demo, 7e5)
+    def test_huge_multiplier_matches_kummer(self, demo):
+        # beta * span = 7e5: the saddle sits next to the top label's branch
+        # point and the other one is far away, which the contour resolves
+        # with its usual node count.
+        p = make_problem((0.0, 1.0), (11, 7), 0.5, pseudo_counts=(1.0, 0.5))
+        beta = 7e5
+        with mp.workdps(40):
+            ref = beta + mp.log(mp.beta(12, 7.5)) + mp.log(mp.hyp1f1(12, 19.5, -beta))
+        assert log_zeta(p, beta).log_value == pytest.approx(float(ref), rel=1e-12)
+        assert math.isfinite(log_zeta(demo, 7e5).log_value)
+
+
+def contour_problems(n=48, seed=31):
+    """``(problem, beta)`` with k = 2-6, flat or non-integer priors and
+    ``|beta| * span <= 50``: the range the series oracle sums quickly."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        k = int(rng.integers(2, 7))
+        labels = np.sort(rng.uniform(0.0, 1.5, size=k))
+        counts = rng.integers(0, 8, size=k)
+        pcs = rng.uniform(0.05, 3.0, size=k) if i % 2 else None
+        p = make_problem(labels, counts, float(labels.mean()), pcs)
+        out.append((p, float(rng.uniform(-50.0, 50.0)) / float(labels[-1] - labels[0])))
+    return out
+
+
+def shifted(p, *idx):
+    """``p`` with the pseudo-count of each outcome in ``idx`` raised by 1."""
+    pcs = np.array(p.prior.pseudo_counts, dtype=float)
+    for i in idx:
+        pcs[i] += 1.0
+    return make_problem(p.model.labels, p.data.counts, p.moment_target, pcs)
+
+
+def two_outcome_log_z(p, beta):
+    """Closed form ``ln Z`` of a k = 2 problem at the working precision,
+    summed on the side where the series terms are positive."""
+    (f1, f2), (a1, a2) = p.model.labels, p.exponents() + 1.0
+    beta = mp.mpf(beta)
+    t = beta * (f1 - f2)
+    if t < 0:  # M(a1; A; t) = e^t M(a2; A; -t)
+        f2, a1, a2, t = f1, a2, a1, -t
+    return (beta * f2 + mp.log(mp.beta(a1, a2))
+            + mp.log(mp.hyp1f1(a1, a1 + a2, t, maxterms=10**6)))
+
+
+class TestContour:
+    def test_matches_series_oracle(self):
+        for p, beta in contour_problems():
+            log_z, means, moment, _, _ = _evaluate(p, beta)
+            ref_log_z, ref_moment, _ = series_zeta(p, beta)
+            ref_means = [math.exp(series_zeta(shifted(p, i), beta)[0] - ref_log_z)
+                         for i in range(p.k)]
+            assert abs(log_z - ref_log_z) <= 1e-12
+            assert np.max(np.abs(means - ref_means)) <= 1e-12
+            assert abs(moment - ref_moment) <= 1e-12
+
+    def test_embedded_error_estimate(self, monkeypatch):
+        # Dropping the odd nodes doubles the spacing; the two sums agree to
+        # far below the accuracy the moments need, at the first spacing
+        # (with no halving allowed, a miss raises NoConvergence).
+        monkeypatch.setattr(normalization, "_HALVINGS", 0)
+        for p, beta in contour_problems():
+            f = p.labels_array()
+            c = beta * (f - f[int(np.argmax(beta * f))])
+            _, h, w, _ = _contour(p.exponents() + 1.0, c)
+            i_h = h * w.real.sum()
+            i_2h = 2.0 * h * (w[0].real + w[2::2].real.sum())
+            assert abs(i_h - i_2h) / abs(i_h) <= 1e-13
+
+    def test_means_and_moment_match_quadrature(self):
+        rng = np.random.default_rng(24)
+        for _ in range(6):
+            p = random_problem(rng, k=int(rng.integers(2, 4)))
+            beta = float(rng.uniform(-15.0, 15.0))
+            base = quadrature_zeta(p, beta).log_value
+            ref = np.array([math.exp(quadrature_zeta(shifted(p, i), beta).log_value - base)
+                            for i in range(p.k)])
+            log_z, means, moment, _, _ = _evaluate(p, beta)
+            assert abs(log_z - base) <= 1e-8
+            assert np.max(np.abs(means - ref)) <= 1e-8
+            assert abs(moment - float(p.labels_array() @ ref)) <= 1e-8
+
+    def test_two_outcome_variance_matches_mpmath(self):
+        # The second beta-derivative of the 40-digit closed form, for
+        # |beta| * span from 1e-3 to 1e4 on both sides.
+        rng = np.random.default_rng(25)
+        for i in range(30):
+            labels = np.sort(rng.uniform(0.0, 1.5, size=2))
+            p = make_problem(labels, rng.integers(0, 8, size=2), float(labels.mean()),
+                             rng.uniform(0.05, 3.0, size=2))
+            tau = float(10.0 ** rng.uniform(-3.0, 4.0)) * (1 if i % 2 else -1)
+            beta = tau / float(labels[1] - labels[0])
+            with mp.workdps(40):
+                ref = float(mp.diff(lambda b: two_outcome_log_z(p, b), beta, 2))
+            assert variance_of_f(p, beta) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("counts,pcs,beta", [
+        ((49, 0), (1.0, 0.05), 60.0),
+        ((8999, 0), (1.0, 0.05), 1e4),
+        ((9899, 0), (1.0, 1.0), 1e4),
+        ((499, 0), (1.0, 0.2), 600.0),
+    ])
+    def test_heavy_outcome_far_below_the_top(self, counts, pcs, beta):
+        # Most of the weight on the bottom label while beta favours the top:
+        # a parabola through the saddle passes the bottom branch point too
+        # closely here (ln Z was off by 9 in the first case).
+        p = make_problem((0.0, 1.0), counts, 0.5, pcs)
+        with mp.workdps(40):
+            ref = [float(mp.diff(lambda b: two_outcome_log_z(p, b), beta, n)) for n in range(3)]
+        log_z, means, moment, slope, _ = _evaluate(p, beta)
+        # The terms that cancel to ln Z are of size n log n.
+        assert abs(log_z - ref[0]) <= 1e-14 * sum(counts)
+        assert moment == pytest.approx(ref[1], abs=1e-12)
+        assert slope == pytest.approx(ref[2], rel=1e-12)
+        assert abs(means.sum() - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("counts,beta", [((300000, 200000), 40.0),
+                                             ((200000, 300000), -300.0)])
+    def test_large_counts_keep_full_accuracy(self, counts, beta):
+        # The log terms are of size n log n; forming ln(1 + z) without the
+        # rounding of 1 + z keeps the moments exact to rounding.
+        p = make_problem((0.0, 1.0), counts, 0.5)
+        with mp.workdps(40):
+            ref = [float(mp.diff(lambda b: two_outcome_log_z(p, b), beta, n)) for n in (1, 2)]
+        _, _, moment, slope, nodes = _evaluate(p, beta)
+        assert moment == pytest.approx(ref[0], abs=1e-14)
+        assert slope == pytest.approx(ref[1], rel=1e-13)
+        assert nodes == 55
+
+    def test_node_counts_pinned(self, demo):
+        # The node count follows from the saddle alone; a change to it is a
+        # deliberate decision.  Demo counts x125 at their solved beta.
+        big = make_problem(DEMO_LABELS, [125 * c for c in DEMO_COUNTS], 2.3)
+        assert log_zeta(demo, DEMO_BETA).terms_used == 69
+        assert log_zeta(big, 1516.46).terms_used == 55
 
 
 class TestPosteriorMean:
@@ -332,11 +471,7 @@ def quadrature_variance(p, beta):
     delta_j) / Z(e)``, with labels centred at the moment."""
 
     def log_z(*shift):
-        pcs = np.array(p.prior.pseudo_counts, dtype=float)
-        for i in shift:
-            pcs[i] += 1.0
-        q = make_problem(p.model.labels, p.data.counts, p.moment_target, pcs)
-        return quadrature_zeta(q, beta).log_value
+        return quadrature_zeta(shifted(p, *shift), beta).log_value
 
     base = log_z()
     means = np.array([math.exp(log_z(i) - base) for i in range(p.k)])
@@ -364,8 +499,8 @@ class TestMomentAndSlopeConsistency:
     @pytest.mark.parametrize("beta", [1e-160, -1e-160, 1e-300, 5e-324])
     def test_tiny_multiplier_uses_closed_form(self, demo, beta):
         # Below double resolution in beta * (f_max - f_min) the beta = 0
-        # conjugate values are exact to rounding; the series moments there
-        # are subnormal or zero.
+        # conjugate values are exact to rounding; the contour sums, which
+        # never divide by beta, must reproduce them.
         mean = np.asarray(DEMO_BAYES)
         f = demo.labels_array()
         cov = (np.diag(mean) - np.outer(mean, mean)) / (20 + 3 + 1)

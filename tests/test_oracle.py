@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -128,13 +129,39 @@ class TestCrossAgreement:
             assert abs(q.log_value - mm.estimate.log_value) <= 3.5 * se
 
 
+def fresh_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this very copy of
+    the package."""
+    src = str(Path(momentbayes.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, check=True, env=env)
+
+
 class TestImport:
     def test_package_import_leaves_quadrature_unloaded(self):
-        # A fresh interpreter that imports this very copy of the package.
-        src = str(Path(momentbayes.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = "import sys, momentbayes; print('scipy.integrate' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True, env=env)
-        assert out.stdout.strip() == "False"
+        code = ("import sys, momentbayes; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        assert fresh_python(code).stdout.strip() == "[]"
+
+    def test_cli_without_scipy(self, tmp_path):
+        # ``sys.modules['scipy'] = None`` makes every scipy import fail.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"labels": list(DEMO_LABELS), "counts": list(DEMO_COUNTS), "moment_target": 2.3}))
+        report = tmp_path / "report.json"
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from momentbayes.cli import main\n"
+            "spec, out = sys.argv[1:]\n"
+            "print(main(['oracle', '--spec', spec, '--method', 'quadrature', '--beta', '1']),\n"
+            "      main(['oracle', '--spec', spec, '--method', 'montecarlo', '--beta', '1',\n"
+            "            '--samples', '1000', '--out', out + '.mc']),\n"
+            "      main(['update', '--spec', spec, '--out', out]))\n"
+        )
+        out = fresh_python(code, str(spec), str(report))
+        assert out.stdout.split() == ["4", "0", "0"]
+        assert json.loads(out.stderr.splitlines()[0])["error"] == "OracleUnavailable"
+        assert json.loads(report.read_text())["beta"] == pytest.approx(DEMO_BETA, abs=5e-4)

@@ -132,18 +132,29 @@ class TestFullUpdate:
         assert res.residual <= TOL
 
     def test_series_pass_budget(self, demo, monkeypatch):
-        # 10 passes solve the demo; the means take k + 1, ln Z one and the
-        # variance one.  A change to this count is a deliberate decision.
+        # One contour pass per solver evaluation, then exactly one for the
+        # means, ln Z and the variance together.
         calls = []
-        inner = normalization._series_pass
+        inner = normalization._evaluate
 
         def counting(*args, **kwargs):
             calls.append(1)
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(normalization, "_series_pass", counting)
-        full_update(demo)
-        assert len(calls) <= 16
+        monkeypatch.setattr(normalization, "_evaluate", counting)
+        res = full_update(demo)
+        assert len(calls) == res.diagnostics.evaluations + 1
+
+    def test_large_sample_far_target(self):
+        # n = 2199 with the target far above the data mean: most of the
+        # weight sits on outcomes far below the top label at the solution,
+        # where the means must still sum to 1 within the residual check.
+        labels = (-7.920514232900427, -6.925451278312845, -6.369948041237661)
+        p = make_problem(labels, (941, 1256, 2), -6.867347571576896,
+                         pseudo_counts=(2.0, 1.0, 3.0))
+        res = full_update(p)
+        assert res.residual <= TOL
+        assert abs(sum(res.means) - 1.0) <= 1e-14
 
     def test_five_outcome_non_integer_prior(self):
         # Beyond the quadrature oracle's k <= 4: cross-checked by
