@@ -106,6 +106,7 @@ def cmd_update(args) -> int:
         "residual": result.residual,
         "solver": {
             "iterations": diag.evaluations,
+            "seed": diag.seed,
             "bracket": [diag.bracket[0], diag.bracket[1]],
             "tol": args.tol,
             "beta_cap": args.beta_cap,
@@ -202,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"residual tolerance on the moment (default {solver.DEFAULT_TOL:g})")
         sp.add_argument("--beta-cap", type=float, default=solver.DEFAULT_BETA_CAP,
                         dest="beta_cap",
-                        help=f"multiplier magnitude treated as divergence (default {solver.DEFAULT_BETA_CAP:g})")
+                        help="cap on the tilt |beta| (f_max - f_min) beyond which the solve "
+                             f"reports divergence (default {solver.DEFAULT_BETA_CAP:g})")
 
     sp = sub.add_parser("update", help="solve the constrained posterior")
     add_common(sp)

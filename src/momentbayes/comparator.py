@@ -109,10 +109,7 @@ def solve_tilt(nu, f, F: float, tol: float = DEFAULT_TILT_TOL) -> TiltedEmpirica
         slope = float(np.dot(f * f, probs)) - g * g
         return g, slope
 
-    def value(eta):
-        return newton(eta)[0]
-
-    eta, _ = solver.solve_increasing(value, newton, F, tol=tol, cap=1e6, guess=0.0)
+    eta, _ = solver.solve_increasing(newton, F, tol=tol, cap=1e6, guess=0.0)
     probs = tuple(float(x) for x in _tilted_probs(nu, f, eta))
     return TiltedEmpirical(freqs, eta, probs)
 

@@ -2,8 +2,10 @@
 full posterior state.
 
 The map ``beta -> E_beta[f . theta]`` is smooth and strictly increasing
-(slope equals the posterior variance of ``f . theta``), so a bracketed
-Newton iteration with bisection fallback is globally convergent.
+(slope equals the posterior variance of ``f . theta``).  It is solved on
+labels ``(f - F) / (f_max - f_min)``, whose multiplier, the tilt ``tau = beta
+(f_max - f_min)``, is free of label shift and scale and is what ``beta_cap``
+caps, by safeguarded Newton from the tilt at the saddle point.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import normalization
 from .errors import DegenerateLabels, Diverged, NoConvergence
-from .model import Problem, bayes_posterior_mean
+from .model import OutcomeModel, Problem, bayes_posterior_mean
 
 DEFAULT_TOL = 1e-10
 DEFAULT_BETA_CAP = 1e4
@@ -24,7 +26,11 @@ MAX_EVALS = 200
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
+    """Evaluations, starting multiplier, the tightest bracket evaluated (an
+    unevaluated side stands at the cap) and the residual of the answer."""
+
     evaluations: int
+    seed: float
     bracket: tuple[float, float]
     residual: float
 
@@ -49,83 +55,41 @@ class SweepPoint:
     converged: bool
 
 
-def solve_increasing(value, newton, target, *, tol, cap, guess=0.0,
-                     max_evals=MAX_EVALS):
-    """Root of ``g(x) = target`` for a smooth strictly increasing ``g``.
+def solve_increasing(newton, target, *, tol, cap, guess=0.0, max_evals=MAX_EVALS):
+    """Root of ``g(x) = target`` for a smooth strictly increasing ``g`` on
+    ``[-cap, cap]``.
 
-    ``value(x)`` returns ``g(x)``; ``newton(x)`` returns ``(g(x), slope)``.
-    Brackets the root by geometric expansion from ``guess`` (clipped to
-    ``[-cap, cap]``); Newton steps outside the bracket fall back to
-    bisection.  Raises :class:`Diverged` when the target is not bracketed
-    within the cap, :class:`NoConvergence` when the evaluation budget runs
-    out.  Deterministic: identical inputs take identical paths.
+    ``newton(x)`` returns ``(g(x), slope)``.  Safeguarded Newton from
+    ``guess`` (clipped to the cap): every evaluation narrows the bracket,
+    whose sides stand at the cap until evaluated; a step that leaves the
+    bracket bisects it, or probes the cap when that side is still open.  A
+    probe at the cap that falls short raises :class:`Diverged`;
+    :class:`NoConvergence` when the evaluation budget runs out.
+    Deterministic: identical inputs take identical paths.
     """
     if not (tol > 0.0) or not (cap > 0.0):
         raise ValueError(f"tol and cap must be positive, got tol={tol}, cap={cap}")
     # Terminate slightly inside the requested tolerance so that the residual
-    # re-measured as f . means, which rounds differently from the moment,
+    # re-measured from the means, which rounds differently from the moment,
     # still satisfies it.
     stop = 0.5 * tol
-    evals = 0
-
-    x0 = min(max(float(guess), -cap), cap)
-    g0 = value(x0)
-    evals += 1
-    if g0 == target:
-        return x0, SolveDiagnostics(evals, (x0, x0), 0.0)
-
-    # Bracket by geometric expansion; remember the closest probe as the
-    # Newton seed.
-    seed, seed_resid = x0, abs(g0 - target)
-    if g0 < target:
-        lo, hi = x0, None
-        width = 1.0
-        while hi is None:
-            cand = min(x0 + width, cap)
-            g = value(cand)
-            evals += 1
-            if abs(g - target) < seed_resid:
-                seed, seed_resid = cand, abs(g - target)
-            if g >= target:
-                hi = cand
-            elif cand >= cap:
-                raise Diverged(
-                    f"target {target} not reached at the cap {cap}: "
-                    f"it lies at or beyond the attainable boundary"
-                )
-            else:
-                lo = cand
-                width *= 2.0
-    else:
-        lo, hi = None, x0
-        width = 1.0
-        while lo is None:
-            cand = max(x0 - width, -cap)
-            g = value(cand)
-            evals += 1
-            if abs(g - target) < seed_resid:
-                seed, seed_resid = cand, abs(g - target)
-            if g <= target:
-                lo = cand
-            elif cand <= -cap:
-                raise Diverged(
-                    f"target {target} not reached at the cap {-cap}: "
-                    f"it lies at or beyond the attainable boundary"
-                )
-            else:
-                hi = cand
-                width *= 2.0
-
-    bracket = (lo, hi)
-    x = seed if lo <= seed <= hi else 0.5 * (lo + hi)
+    seed = x = min(max(float(guess), -cap), cap)
+    lo, hi = -cap, cap
+    lo_open = hi_open = True
     best = None  # (residual, x) among in-tolerance iterates
     polish_left = 4
-    while evals < max_evals:
+    for evals in range(1, max_evals + 1):
         g, slope = newton(x)
-        evals += 1
+        if abs(x) == cap and (g - target) * x < 0.0:
+            raise Diverged(f"target not reached at the cap {x:g}: "
+                           f"it lies at or beyond the attainable boundary")
+        if g < target:
+            lo, lo_open = x, False
+        else:
+            hi, hi_open = x, False
         resid = abs(g - target)
         newton_ok = slope > 0.0 and math.isfinite(slope)
-        step = (target - g) / slope if newton_ok else math.nan
+        step = (target - g) / slope if newton_ok else math.copysign(math.inf, target - g)
         if resid <= stop:
             if best is None or resid < best[0]:
                 best = (resid, x)
@@ -133,50 +97,82 @@ def solve_increasing(value, newton, target, *, tol, cap, guess=0.0,
             # when the slope is small; polish until the Newton step itself
             # is negligible (a step or two, by quadratic convergence).
             if not newton_ok or abs(step) <= 1e-12 * max(1.0, abs(x)) or polish_left == 0:
-                return best[1], SolveDiagnostics(evals, bracket, best[0])
+                return best[1], SolveDiagnostics(evals, seed, (lo, hi), best[0])
             polish_left -= 1
-        if g < target:
+        x += step
+        if x >= hi:
+            x = cap if hi_open else 0.5 * (lo + hi)
+        elif x <= lo:
+            x = -cap if lo_open else 0.5 * (lo + hi)
+    if best is not None:
+        return best[1], SolveDiagnostics(max_evals, seed, (lo, hi), best[0])
+    raise NoConvergence(f"no solution to residual {tol} within {max_evals} evaluations")
+
+
+def _centred(p: Problem) -> tuple[Problem, float]:
+    """The problem on labels ``(f - F) / span`` with target 0, and the span.
+
+    Its multiplier is the tilt ``tau = beta * span``, so label shift and
+    scale drop out; ``f_i - F`` is exact whenever an offset dominates."""
+    f = p.labels_array()
+    span = float(f.max() - f.min())
+    model = OutcomeModel((f - p.moment_target) / span)
+    return Problem(model, p.data, p.prior, 0.0), span
+
+
+def _seed(q: Problem) -> float:
+    """Tilt ``-x sum_i a_i / (1 + x d_i)`` at the saddle point of ``q``
+    (labels ``d``, target 0, ``a = m + alpha``): the constrained maximum of
+    ``sum_i a_i ln theta_i`` is ``theta_i ∝ a_i / (1 + x d_i)`` with ``sum_i
+    a_i d_i / (1 + x d_i) = 0``, strictly decreasing in ``x`` on ``1 + x d_i
+    > 0``, so bracketed Newton from 0 finds ``x``."""
+    d = q.model.labels
+    a = (q.exponents() + 1.0).tolist()
+    lo, hi = -1.0 / max(d), -1.0 / min(d)
+    x = 0.0
+    for _ in range(100):
+        r = [ai / (1.0 + x * di) for ai, di in zip(a, d)]
+        rd = [ri * di for ri, di in zip(r, d)]
+        h = sum(rd)
+        if abs(h) <= 1e-12 * sum(map(abs, rd)):
+            break
+        if h > 0.0:
             lo = x
         else:
             hi = x
-        if newton_ok:
-            x_next = x + step
-            if not (lo < x_next < hi):
-                x_next = 0.5 * (lo + hi)
-        else:
-            x_next = 0.5 * (lo + hi)
-        x = x_next
-    if best is not None:
-        return best[1], SolveDiagnostics(evals, bracket, best[0])
-    raise NoConvergence(f"no solution to residual {tol} within {max_evals} evaluations")
+        x += h / sum(t * t / ai for t, ai in zip(rd, a))
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+    return -x * sum(r) if x else 0.0  # +0.0, not -0.0, at the Bayes point
 
 
 def solve_beta_detailed(p: Problem, tol: float = DEFAULT_TOL,
                         beta_cap: float = DEFAULT_BETA_CAP,
-                        guess: float = 0.0) -> tuple[float, SolveDiagnostics]:
-    """As :func:`solve_beta`, also returning bracket/iteration diagnostics."""
+                        guess: float | None = None) -> tuple[float, SolveDiagnostics]:
+    """As :func:`solve_beta`, also returning seed/bracket/iteration diagnostics."""
     if p.model.degenerate:
         raise DegenerateLabels("all labels are equal: the multiplier is unidentified")
-
-    def value(beta):
-        return normalization.moment_and_slope(p, beta)[0]
-
-    def newton(beta):
-        return normalization.moment_and_slope(p, beta)
-
-    return solve_increasing(value, newton, p.moment_target, tol=tol,
-                            cap=beta_cap, guess=guess)
+    q, span = _centred(p)
+    tau, diag = solve_increasing(lambda t: normalization.moment_and_slope(q, t), 0.0,
+                                 tol=tol / span, cap=beta_cap,
+                                 guess=_seed(q) if guess is None else guess * span)
+    lo, hi = diag.bracket
+    return tau / span, SolveDiagnostics(diag.evaluations, diag.seed / span,
+                                        (lo / span, hi / span), diag.residual * span)
 
 
 def solve_beta(p: Problem, tol: float = DEFAULT_TOL,
-               beta_cap: float = DEFAULT_BETA_CAP, guess: float = 0.0) -> float:
-    """The multiplier ``beta`` with ``|E_beta[f . theta] - F| <= tol``."""
+               beta_cap: float = DEFAULT_BETA_CAP, guess: float | None = None) -> float:
+    """The multiplier ``beta`` with ``|E_beta[f . theta] - F| <= tol``.
+
+    The solve starts from the saddle-point seed unless ``guess`` is given;
+    it raises :class:`Diverged` past ``|beta| (f_max - f_min) = beta_cap``."""
     return solve_beta_detailed(p, tol, beta_cap, guess)[0]
 
 
 def full_update(p: Problem, tol: float = DEFAULT_TOL,
                 beta_cap: float = DEFAULT_BETA_CAP,
-                guess: float = 0.0) -> MEPosterior:
+                guess: float | None = None) -> MEPosterior:
     """Solve ``beta`` and assemble the complete posterior state.
 
     Degenerate labels make the constraint vacuous (it is satisfied by any
@@ -193,11 +189,12 @@ def full_update(p: Problem, tol: float = DEFAULT_TOL,
             means=tuple(means),
             variance_of_f=0.0,
             residual=abs(float(np.dot(f, means)) - p.moment_target),
-            diagnostics=SolveDiagnostics(0, (0.0, 0.0), 0.0),
+            diagnostics=SolveDiagnostics(0, 0.0, (0.0, 0.0), 0.0),
         )
     beta, diag = solve_beta_detailed(p, tol, beta_cap, guess)
-    log_z, means, _, variance, _ = normalization._evaluate(p, beta)
-    residual = abs(float(np.dot(f, means)) - p.moment_target)
+    q, span = _centred(p)
+    log_z, means, _, slope, _ = normalization._evaluate(q, beta * span)
+    residual = abs(float((f - p.moment_target) @ means))
     if residual > tol or abs(float(means.sum()) - 1.0) > 1e-10:
         raise NoConvergence(
             f"inconsistent solution: residual {residual}, mean sum {means.sum()}"
@@ -205,9 +202,9 @@ def full_update(p: Problem, tol: float = DEFAULT_TOL,
     return MEPosterior(
         problem=p,
         beta=beta,
-        log_zeta=log_z,
+        log_zeta=log_z + beta * p.moment_target,
         means=tuple(float(x) for x in means),
-        variance_of_f=variance,
+        variance_of_f=slope * span * span,
         residual=residual,
         diagnostics=diag,
     )
@@ -218,9 +215,8 @@ def sweep(p: Problem, f_min: float, f_max: float, steps: int,
     """Solve ``beta`` on a uniform grid of moment targets (endpoints included).
 
     Points whose multiplier leaves the cap are reported with
-    ``converged=False`` rather than aborting the sweep.  Sequential points
-    reuse the previous converged multiplier as the initial guess; results
-    are guess-independent up to the solver tolerance.
+    ``converged=False`` rather than aborting the sweep.  Every point starts
+    from its own saddle-point seed, so each equals a cold :func:`solve_beta`.
     """
     if p.model.degenerate:
         raise DegenerateLabels("all labels are equal: nothing to sweep")
@@ -232,15 +228,13 @@ def sweep(p: Problem, f_min: float, f_max: float, steps: int,
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     out = []
-    warm = 0.0
     for F in np.linspace(f_min, f_max, steps):
         F = float(F)
         q = Problem(p.model, p.data, p.prior, F)
         try:
-            beta = solve_beta(q, tol, beta_cap, guess=warm)
+            beta = solve_beta(q, tol, beta_cap)
         except (Diverged, NoConvergence):
             out.append(SweepPoint(F=F, beta=math.nan, converged=False))
             continue
         out.append(SweepPoint(F=F, beta=beta, converged=True))
-        warm = beta
     return out

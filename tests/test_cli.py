@@ -45,6 +45,9 @@ class TestUpdate:
         np.testing.assert_allclose(report["bayes_means"], DEMO_BAYES, rtol=1e-12)
         assert report["residual"] <= 1e-10
         assert report["solver"]["iterations"] > 0
+        assert abs(report["solver"]["seed"] - report["beta"]) <= 1.5
+        lo, hi = report["solver"]["bracket"]
+        assert lo <= report["beta"] <= hi
         assert report["spec"]["pseudo_counts"] == [1.0, 1.0, 1.0]
 
     def test_writes_to_stdout_by_default(self, spec_file, capsys):

@@ -32,6 +32,20 @@ from conftest import (
 TOL = 1e-10
 
 
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Records each solver evaluation of the moment and its slope."""
+    calls = []
+    inner = normalization.moment_and_slope
+
+    def counting(*args):
+        calls.append(args[1])
+        return inner(*args)
+
+    monkeypatch.setattr(normalization, "moment_and_slope", counting)
+    return calls
+
+
 class TestSolveBeta:
     def test_demo_reference_multiplier(self, demo):
         assert solve_beta(demo) == pytest.approx(DEMO_BETA, abs=5e-4)
@@ -104,7 +118,64 @@ class TestSolveBeta:
         beta, diag = solve_beta_detailed(demo)
         assert diag.evaluations > 0
         assert diag.bracket[0] <= beta <= diag.bracket[1]
+        assert -5000.0 <= diag.bracket[0] and diag.bracket[1] <= 5000.0
         assert diag.residual <= TOL
+        # The seed is the constrained maximum of sum_i a_i ln theta_i:
+        # theta_i = a_i / (A - seed (f_i - F)) sums to 1 and meets F.
+        a = np.asarray(DEMO_COUNTS) + 1.0
+        d = np.asarray(DEMO_LABELS) - 2.3
+        theta = a / (a.sum() - diag.seed * d)
+        assert abs(theta.sum() - 1.0) <= 1e-10
+        assert abs(float(d @ theta)) <= 1e-10
+        assert abs(diag.seed - beta) <= 1.5
+
+    @pytest.mark.parametrize("offset", [-2.5, 0.75, 1e6, -1e6, 1e7])
+    def test_shift_invariance(self, offset):
+        # Labels and target shifted together; the target is the one the
+        # shifted float actually holds, so the two problems are the same.
+        target = (2.3 + offset) - offset
+        p = make_problem(DEMO_LABELS, DEMO_COUNTS, target)
+        q = make_problem([x + offset for x in DEMO_LABELS], DEMO_COUNTS, target + offset)
+        res_p, res_q = full_update(p), full_update(q)
+        assert res_q.residual <= TOL
+        assert res_q.beta == pytest.approx(res_p.beta, rel=1e-10)
+        np.testing.assert_allclose(res_q.means, res_p.means, rtol=0, atol=1e-12)
+        assert res_q.log_zeta - res_p.log_zeta == pytest.approx(
+            res_p.beta * offset, rel=1e-12, abs=1e-9)
+
+    @pytest.mark.parametrize("lam", [1e-4, 1e-2, 1e2, 1e4])
+    def test_scale_invariance_across_orders(self, demo, lam):
+        p = make_problem([lam * x for x in DEMO_LABELS], DEMO_COUNTS, lam * 2.3)
+        res_p, ref = full_update(p), full_update(demo)
+        assert res_p.beta * lam == pytest.approx(ref.beta, rel=1e-10)
+        np.testing.assert_allclose(res_p.means, ref.means, rtol=0, atol=1e-12)
+
+    def test_far_target_within_default_cap(self):
+        # n = 2386 on a label span of 0.506: beta is about 13,700, beyond an
+        # absolute cap of 1e4 on beta but a tilt of about 6955.
+        p = make_problem((0.0, 0.253, 0.506), (495, 1645, 246), 0.7252 * 0.506,
+                         pseudo_counts=(1.0, 1.0, 2.0))
+        res = full_update(p)
+        assert res.residual <= TOL
+        assert 5000.0 < res.beta * 0.506 < 1e4
+
+    @pytest.mark.parametrize("labels, counts, target", [
+        (DEMO_LABELS, DEMO_COUNTS, 2.3),
+        (DEMO_LABELS, tuple(5 * c for c in DEMO_COUNTS), 2.3),
+        (DEMO_LABELS, tuple(125 * c for c in DEMO_COUNTS), 2.3),
+        (DEMO_LABELS, DEMO_COUNTS, 2.99),
+        ((0.0, 1.0, 2.0, 3.0), (5, 3, 8, 2), 2.6),
+    ])
+    def test_evaluation_budget(self, evaluations, labels, counts, target):
+        p = make_problem(labels, counts, target)
+        beta, diag = solve_beta_detailed(p)
+        assert diag.evaluations == len(evaluations) <= 5
+        assert abs(moment_of_f(p, beta) - target) <= TOL
+
+    def test_divergence_decided_at_the_cap(self, evaluations):
+        with pytest.raises(Diverged):
+            solve_beta(make_problem(DEMO_LABELS, DEMO_COUNTS, 2.999))
+        assert 1 <= len(evaluations) <= 3
 
 
 class TestFullUpdate:
@@ -196,12 +267,13 @@ class TestSweep:
         assert all(b2 > b1 for b1, b2 in zip(betas, betas[1:]))
 
     def test_warm_start_agrees_with_cold_solves(self, demo):
+        # Every point starts from its own seed, so it is a cold solve.
         points = sweep(demo, 2.0, 2.8, 9)
         for pt in points:
             q = make_problem(DEMO_LABELS, DEMO_COUNTS, pt.F)
             cold = solve_beta(q)
             assert abs(moment_of_f(q, pt.beta) - pt.F) <= TOL
-            assert abs(pt.beta - cold) <= 1e-6
+            assert pt.beta == cold
 
     def test_diverged_points_recorded_not_fatal(self, demo):
         points = sweep(demo, 1.5, 2.9, 8, beta_cap=50.0)
