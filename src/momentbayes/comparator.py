@@ -6,11 +6,12 @@ frequencies ``nu_i = m_i / n`` and tilts them onto the moment constraint:
 
     theta*_i = nu_i exp(eta f_i) / sum_j nu_j exp(eta f_j),
 
-with the scalar ``eta`` chosen so that ``sum_i f_i theta*_i = F``.  This is
-the forward projection ``argmin KL(theta || nu)`` of the frequencies onto
-the constraint.  It treats frequencies as probabilities and admits no
-fluctuations.  The posterior means do not tend to it as the sample grows:
-they tend to the constrained maximum-likelihood point, the reverse
+with the scalar ``eta`` chosen so that ``sum_i f_i theta*_i = F`` (solved as
+the tilt ``eta (f_max - f_min)`` on the solver's unit-span labels, under its
+cap).  This is the forward projection ``argmin KL(theta || nu)`` of the
+frequencies onto the constraint.  It treats frequencies as probabilities and
+admits no fluctuations.  The posterior means do not tend to it as the sample
+grows: they tend to the constrained maximum-likelihood point, the reverse
 projection ``argmin KL(nu || theta)``.  The comparison report quantifies the
 difference, which at large ``n`` is the gap between the two projections.
 """
@@ -26,7 +27,7 @@ from . import solver
 from .errors import MomentOutOfRange, NoData, ZeroSupport
 from .model import CountData, Problem
 
-DEFAULT_TILT_TOL = 1e-12
+TILT_TOL = 1e-12  # on the unit-span moment
 FINITE_SAMPLE_N = 100
 
 
@@ -70,7 +71,7 @@ def _tilted_probs(nu: np.ndarray, f: np.ndarray, eta: float) -> np.ndarray:
     return w / w.sum()
 
 
-def solve_tilt(nu, f, F: float, tol: float = DEFAULT_TILT_TOL) -> TiltedEmpirical:
+def solve_tilt(nu, f, F: float) -> TiltedEmpirical:
     """Solve the tilt ``eta`` so the tilted frequencies hit the moment target."""
     nu = np.asarray(nu, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -82,17 +83,9 @@ def solve_tilt(nu, f, F: float, tol: float = DEFAULT_TILT_TOL) -> TiltedEmpirica
     support = f[nu > 0.0]
     lo, hi = support.min(), support.max()
     freqs = tuple(float(x) for x in nu)
-    if lo == hi:
-        # All frequency sits on one label value; only that value is attainable.
-        if F == lo:
-            return TiltedEmpirical(freqs, 0.0, freqs)
-        if not (f.min() < F < f.max()):
-            raise MomentOutOfRange(
-                f"target {F} must lie strictly inside ({f.min()}, {f.max()})"
-            )
-        raise ZeroSupport(
-            f"all frequency is on label {lo}; target {F} is unreachable by tilting"
-        )
+    if lo == hi == F:
+        # All frequency sits on the target's label value: nothing to tilt.
+        return TiltedEmpirical(freqs, 0.0, freqs)
     if not (f.min() < F < f.max()):
         raise MomentOutOfRange(
             f"target {F} must lie strictly inside ({f.min()}, {f.max()})"
@@ -103,24 +96,26 @@ def solve_tilt(nu, f, F: float, tol: float = DEFAULT_TILT_TOL) -> TiltedEmpirica
             f"nonzero frequency: the tilt cannot move zero frequencies"
         )
 
-    def newton(eta):
-        probs = _tilted_probs(nu, f, eta)
-        g = float(np.dot(f, probs))
-        slope = float(np.dot(f * f, probs)) - g * g
+    d, span = solver.unit_span(f, F)
+
+    def newton(t):
+        probs = _tilted_probs(nu, d, t)
+        g = float(np.dot(d, probs))
+        slope = float(np.dot(d * d, probs)) - g * g
         return g, slope
 
-    eta, _ = solver.solve_increasing(newton, F, tol=tol, cap=1e6, guess=0.0)
-    probs = tuple(float(x) for x in _tilted_probs(nu, f, eta))
-    return TiltedEmpirical(freqs, eta, probs)
+    t, _ = solver.solve_increasing(newton, 0.0, tol=TILT_TOL,
+                                   cap=solver.DEFAULT_BETA_CAP, guess=0.0)
+    probs = tuple(float(x) for x in _tilted_probs(nu, d, t))
+    return TiltedEmpirical(freqs, t / span, probs)
 
 
 def compare(p: Problem, tol: float = solver.DEFAULT_TOL,
-            beta_cap: float = solver.DEFAULT_BETA_CAP,
-            tilt_tol: float = DEFAULT_TILT_TOL) -> ComparisonReport:
+            beta_cap: float = solver.DEFAULT_BETA_CAP) -> ComparisonReport:
     """Full posterior update next to the tilted-frequency solution."""
     nu = empirical_frequencies(p.data)
     me = solver.full_update(p, tol, beta_cap)
-    tilted = solve_tilt(nu, p.labels_array(), p.moment_target, tilt_tol)
+    tilted = solve_tilt(nu, p.labels_array(), p.moment_target)
     diff = np.asarray(me.means) - np.asarray(tilted.probabilities)
     annotation = None
     if np.any(nu == 0.0) or p.data.n < FINITE_SAMPLE_N:

@@ -2,10 +2,11 @@
 full posterior state.
 
 The map ``beta -> E_beta[f . theta]`` is smooth and strictly increasing
-(slope equals the posterior variance of ``f . theta``).  It is solved on
-labels ``(f - F) / (f_max - f_min)``, whose multiplier, the tilt ``tau = beta
-(f_max - f_min)``, is free of label shift and scale and is what ``beta_cap``
-caps, by safeguarded Newton from the tilt at the saddle point.
+(slope equals the posterior variance of ``f . theta``).  It is solved on the
+:func:`unit_span` labels ``(f - F) / (f_max - f_min)``, as is the comparator's
+tilt, by safeguarded Newton from the tilt at the saddle point; the multiplier
+there, ``tau = beta (f_max - f_min)``, is free of label shift and scale and is
+what ``beta_cap`` caps.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import DegenerateLabels, Diverged, NoConvergence
 from .model import OutcomeModel, Problem, bayes_posterior_mean
 
 DEFAULT_TOL = 1e-10
-DEFAULT_BETA_CAP = 1e4
+DEFAULT_BETA_CAP = 1e6
 MAX_EVALS = 200
 
 
@@ -45,7 +46,7 @@ class MEPosterior:
     means: tuple[float, ...]
     variance_of_f: float
     residual: float
-    diagnostics: SolveDiagnostics | None = None
+    diagnostics: SolveDiagnostics
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ class SweepPoint:
     converged: bool
 
 
-def solve_increasing(newton, target, *, tol, cap, guess=0.0, max_evals=MAX_EVALS):
+def solve_increasing(newton, target, *, tol, cap, guess):
     """Root of ``g(x) = target`` for a smooth strictly increasing ``g`` on
     ``[-cap, cap]``.
 
@@ -78,7 +79,7 @@ def solve_increasing(newton, target, *, tol, cap, guess=0.0, max_evals=MAX_EVALS
     lo_open = hi_open = True
     best = None  # (residual, x) among in-tolerance iterates
     polish_left = 4
-    for evals in range(1, max_evals + 1):
+    for evals in range(1, MAX_EVALS + 1):
         g, slope = newton(x)
         if abs(x) == cap and (g - target) * x < 0.0:
             raise Diverged(f"target not reached at the cap {x:g}: "
@@ -105,19 +106,22 @@ def solve_increasing(newton, target, *, tol, cap, guess=0.0, max_evals=MAX_EVALS
         elif x <= lo:
             x = -cap if lo_open else 0.5 * (lo + hi)
     if best is not None:
-        return best[1], SolveDiagnostics(max_evals, seed, (lo, hi), best[0])
-    raise NoConvergence(f"no solution to residual {tol} within {max_evals} evaluations")
+        return best[1], SolveDiagnostics(MAX_EVALS, seed, (lo, hi), best[0])
+    raise NoConvergence(f"no solution to residual {tol} within {MAX_EVALS} evaluations")
+
+
+def unit_span(f: np.ndarray, F: float) -> tuple[np.ndarray, float]:
+    """Labels ``(f - F) / span`` and ``span = f_max - f_min``: their multiplier
+    is the tilt ``multiplier * span``, free of label shift and scale, and
+    ``f_i - F`` is exact whenever an offset dominates."""
+    span = float(f.max() - f.min())
+    return (f - F) / span, span
 
 
 def _centred(p: Problem) -> tuple[Problem, float]:
-    """The problem on labels ``(f - F) / span`` with target 0, and the span.
-
-    Its multiplier is the tilt ``tau = beta * span``, so label shift and
-    scale drop out; ``f_i - F`` is exact whenever an offset dominates."""
-    f = p.labels_array()
-    span = float(f.max() - f.min())
-    model = OutcomeModel((f - p.moment_target) / span)
-    return Problem(model, p.data, p.prior, 0.0), span
+    """The problem on :func:`unit_span` labels with target 0, and the span."""
+    d, span = unit_span(p.labels_array(), p.moment_target)
+    return Problem(OutcomeModel(d), p.data, p.prior, 0.0), span
 
 
 def _seed(q: Problem) -> float:
@@ -147,32 +151,29 @@ def _seed(q: Problem) -> float:
 
 
 def solve_beta_detailed(p: Problem, tol: float = DEFAULT_TOL,
-                        beta_cap: float = DEFAULT_BETA_CAP,
-                        guess: float | None = None) -> tuple[float, SolveDiagnostics]:
+                        beta_cap: float = DEFAULT_BETA_CAP) -> tuple[float, SolveDiagnostics]:
     """As :func:`solve_beta`, also returning seed/bracket/iteration diagnostics."""
     if p.model.degenerate:
         raise DegenerateLabels("all labels are equal: the multiplier is unidentified")
     q, span = _centred(p)
     tau, diag = solve_increasing(lambda t: normalization.moment_and_slope(q, t), 0.0,
-                                 tol=tol / span, cap=beta_cap,
-                                 guess=_seed(q) if guess is None else guess * span)
+                                 tol=tol / span, cap=beta_cap, guess=_seed(q))
     lo, hi = diag.bracket
     return tau / span, SolveDiagnostics(diag.evaluations, diag.seed / span,
                                         (lo / span, hi / span), diag.residual * span)
 
 
 def solve_beta(p: Problem, tol: float = DEFAULT_TOL,
-               beta_cap: float = DEFAULT_BETA_CAP, guess: float | None = None) -> float:
+               beta_cap: float = DEFAULT_BETA_CAP) -> float:
     """The multiplier ``beta`` with ``|E_beta[f . theta] - F| <= tol``.
 
-    The solve starts from the saddle-point seed unless ``guess`` is given;
-    it raises :class:`Diverged` past ``|beta| (f_max - f_min) = beta_cap``."""
-    return solve_beta_detailed(p, tol, beta_cap, guess)[0]
+    The solve starts from the saddle-point seed; it raises
+    :class:`Diverged` past ``|beta| (f_max - f_min) = beta_cap``."""
+    return solve_beta_detailed(p, tol, beta_cap)[0]
 
 
 def full_update(p: Problem, tol: float = DEFAULT_TOL,
-                beta_cap: float = DEFAULT_BETA_CAP,
-                guess: float | None = None) -> MEPosterior:
+                beta_cap: float = DEFAULT_BETA_CAP) -> MEPosterior:
     """Solve ``beta`` and assemble the complete posterior state.
 
     Degenerate labels make the constraint vacuous (it is satisfied by any
@@ -191,7 +192,7 @@ def full_update(p: Problem, tol: float = DEFAULT_TOL,
             residual=abs(float(np.dot(f, means)) - p.moment_target),
             diagnostics=SolveDiagnostics(0, 0.0, (0.0, 0.0), 0.0),
         )
-    beta, diag = solve_beta_detailed(p, tol, beta_cap, guess)
+    beta, diag = solve_beta_detailed(p, tol, beta_cap)
     q, span = _centred(p)
     log_z, means, _, slope, _ = normalization._evaluate(q, beta * span)
     residual = abs(float((f - p.moment_target) @ means))

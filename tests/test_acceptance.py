@@ -275,11 +275,9 @@ def test_criterion_7_distance_to_tilted_under_data_scaling():
     scales = (1, 5, 25, 125)
     to_ml = []
     to_tilted = []
-    warm = 0.0
     for s in scales:
         p = make_problem(DEMO_LABELS, tuple(s * c for c in DEMO_COUNTS), 2.3)
-        state = full_update(p, guess=warm)
-        warm = state.beta * 5.0
+        state = full_update(p)
         means = np.asarray(state.means)
         to_ml.append(float(np.max(np.abs(means - ml))))
         to_tilted.append(float(np.max(np.abs(means - tilted))))

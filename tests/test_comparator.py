@@ -80,6 +80,13 @@ class TestSolveTilt:
             assert t2.eta == pytest.approx(t1.eta, abs=1e-9)
             np.testing.assert_allclose(t2.probabilities, t1.probabilities, atol=1e-10)
 
+    @pytest.mark.parametrize("lam", [1e-7, 1e-4, 3e4, 3e5, 1e7])
+    def test_scale_invariance_across_orders(self, lam):
+        ref = solve_tilt(DEMO_FREQS, DEMO_LABELS, 2.3)
+        tilted = solve_tilt(DEMO_FREQS, [lam * x for x in DEMO_LABELS], lam * 2.3)
+        assert tilted.eta * lam == pytest.approx(ref.eta, rel=1e-10)
+        np.testing.assert_allclose(tilted.probabilities, ref.probabilities, rtol=0, atol=1e-12)
+
     def test_zero_frequencies_stay_zero(self):
         tilted = solve_tilt((0.5, 0.5, 0.0), (1.0, 2.0, 3.0), 1.7)
         assert tilted.probabilities[2] == 0.0
@@ -95,6 +102,16 @@ class TestSolveTilt:
         # on label 3, which tilting cannot create.
         with pytest.raises(ZeroSupport):
             solve_tilt((0.5, 0.5, 0.0), (1.0, 2.0, 3.0), 2.5)
+
+    def test_all_frequency_on_one_label(self):
+        nu, f = (0.0, 1.0, 0.0), (1.0, 2.0, 3.0)
+        tilted = solve_tilt(nu, f, 2.0)
+        assert tilted.eta == 0.0 and tilted.probabilities == nu
+        with pytest.raises(ZeroSupport):
+            solve_tilt(nu, f, 2.5)
+        with pytest.raises(MomentOutOfRange):
+            solve_tilt(nu, f, 3.0)
+        assert solve_tilt((1.0, 0.0), (1.0, 1.0), 1.0).eta == 0.0
 
     def test_invalid_frequency_vector(self):
         with pytest.raises(ValueError):
@@ -117,6 +134,13 @@ class TestCompare:
         ), abs=2e-3)
         assert rep.beta == pytest.approx(rep.me.beta)
         assert rep.eta == pytest.approx(rep.tilted.eta)
+
+    def test_tiny_label_scale(self):
+        # Labels x1e-7: eta is about 5.7e6, beyond an absolute cap of 1e6.
+        lam = 1e-7
+        rep = compare(make_problem([lam * x for x in DEMO_LABELS], DEMO_COUNTS, lam * 2.3))
+        np.testing.assert_allclose(rep.me.means, DEMO_MEANS, atol=5e-4)
+        np.testing.assert_allclose(rep.tilted.probabilities, DEMO_TILTED, atol=5e-4)
 
     def test_finite_sample_annotation(self, demo):
         assert compare(demo).annotation is not None
