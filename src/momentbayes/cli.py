@@ -93,7 +93,7 @@ def _exp_or_none(log_x: float):
 
 def cmd_update(args) -> int:
     problem, echo = load_spec(args.spec)
-    result = solver.full_update(problem, tol=args.tol, beta_cap=args.beta_cap)
+    result = solver.full_update(problem, beta_cap=args.beta_cap)
     diag = result.diagnostics
     report = {
         "spec": echo,
@@ -108,7 +108,6 @@ def cmd_update(args) -> int:
             "iterations": diag.evaluations,
             "seed": diag.seed,
             "bracket": [diag.bracket[0], diag.bracket[1]],
-            "tol": args.tol,
             "beta_cap": args.beta_cap,
         },
     }
@@ -118,8 +117,7 @@ def cmd_update(args) -> int:
 
 def cmd_sweep(args) -> int:
     problem, _ = load_spec(args.spec)
-    points = solver.sweep(problem, args.min, args.max, args.steps,
-                          tol=args.tol, beta_cap=args.beta_cap)
+    points = solver.sweep(problem, args.min, args.max, args.steps, beta_cap=args.beta_cap)
     lines = ["F,beta,converged"]
     for pt in points:
         lines.append(
@@ -131,7 +129,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     problem, echo = load_spec(args.spec)
-    report = comparator.compare(problem, tol=args.tol, beta_cap=args.beta_cap)
+    report = comparator.compare(problem, beta_cap=args.beta_cap)
     _dump_report(
         {
             "spec": echo,
@@ -154,9 +152,10 @@ def cmd_oracle(args) -> int:
     problem, echo = load_spec(args.spec)
     if args.beta is not None:
         beta = args.beta
+        log_z = normalization.log_zeta(problem, beta).log_value
     else:
-        beta = solver.full_update(problem, tol=args.tol, beta_cap=args.beta_cap).beta
-    log_z = normalization.log_zeta(problem, beta).log_value
+        result = solver.full_update(problem, beta_cap=args.beta_cap)
+        beta, log_z = result.beta, result.log_zeta
     report = {
         "spec": echo,
         "beta": beta,
@@ -199,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp):
         sp.add_argument("--spec", required=True, help="JSON problem spec file")
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
-        sp.add_argument("--tol", type=float, default=solver.DEFAULT_TOL,
-                        help=f"residual tolerance on the moment (default {solver.DEFAULT_TOL:g})")
         sp.add_argument("--beta-cap", type=float, default=solver.DEFAULT_BETA_CAP,
                         dest="beta_cap",
                         help="cap on the tilt |beta| (f_max - f_min) beyond which the solve "

@@ -8,9 +8,9 @@ frequencies ``nu_i = m_i / n`` and tilts them onto the moment constraint:
 
 with the scalar ``eta`` chosen so that ``sum_i f_i theta*_i = F`` (solved as
 the tilt ``eta (f_max - f_min)`` on the solver's unit-span labels, under its
-cap).  This is the forward projection ``argmin KL(theta || nu)`` of the
-frequencies onto the constraint.  It treats frequencies as probabilities and
-admits no fluctuations.  The posterior means do not tend to it as the sample
+cap and to its tolerance).  This is the forward projection ``argmin KL(theta
+|| nu)`` of the frequencies onto the constraint.  It treats frequencies as
+probabilities and admits no fluctuations.  The posterior means do not tend to it as the sample
 grows: they tend to the constrained maximum-likelihood point, the reverse
 projection ``argmin KL(nu || theta)``.  The comparison report quantifies the
 difference, which at large ``n`` is the gap between the two projections.
@@ -27,7 +27,6 @@ from . import solver
 from .errors import MomentOutOfRange, NoData, ZeroSupport
 from .model import CountData, Problem
 
-TILT_TOL = 1e-12  # on the unit-span moment
 FINITE_SAMPLE_N = 100
 
 
@@ -102,19 +101,16 @@ def solve_tilt(nu, f, F: float) -> TiltedEmpirical:
         probs = _tilted_probs(nu, d, t)
         g = float(np.dot(d, probs))
         slope = float(np.dot(d * d, probs)) - g * g
-        return g, slope
+        return g, slope, probs
 
-    t, _ = solver.solve_increasing(newton, 0.0, tol=TILT_TOL,
-                                   cap=solver.DEFAULT_BETA_CAP, guess=0.0)
-    probs = tuple(float(x) for x in _tilted_probs(nu, d, t))
-    return TiltedEmpirical(freqs, t / span, probs)
+    t, _, probs = solver.solve_increasing(newton, 0.0, cap=solver.DEFAULT_BETA_CAP, guess=0.0)
+    return TiltedEmpirical(freqs, t / span, tuple(float(x) for x in probs))
 
 
-def compare(p: Problem, tol: float = solver.DEFAULT_TOL,
-            beta_cap: float = solver.DEFAULT_BETA_CAP) -> ComparisonReport:
+def compare(p: Problem, beta_cap: float = solver.DEFAULT_BETA_CAP) -> ComparisonReport:
     """Full posterior update next to the tilted-frequency solution."""
     nu = empirical_frequencies(p.data)
-    me = solver.full_update(p, tol, beta_cap)
+    me = solver.full_update(p, beta_cap)
     tilted = solve_tilt(nu, p.labels_array(), p.moment_target)
     diff = np.asarray(me.means) - np.asarray(tilted.probabilities)
     annotation = None

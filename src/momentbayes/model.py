@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -131,6 +132,14 @@ class Problem:
         m = np.asarray(self.data.counts, dtype=float)
         a = np.asarray(self.prior.pseudo_counts, dtype=float)
         return m + a - 1.0
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Labels ``f``, shapes ``a = m + alpha`` and ``sum_i ln Gamma(a_i)``,
+        formed once per problem; the arrays are read-only."""
+        f, a = self.labels_array(), self.exponents() + 1.0
+        f.flags.writeable = a.flags.writeable = False
+        return f, a, sum(math.lgamma(x) for x in a.tolist())
 
 
 @dataclass(frozen=True)

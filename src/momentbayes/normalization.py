@@ -14,11 +14,20 @@ far below the top (the parabola's do not).  One node set gives ``E[theta_i] =
 a_i <1/(s - c_i)>``, the moment ``f_top + <g>`` and its slope ``<(g - <g>)^2
 + g_2>``, with ``<.>`` the node-weighted average, ``f' = f - f_top``, ``g =
 sum_i a_i f'_i / (s - c_i)`` and ``g_2 = sum_i a_i f'_i^2 / (s - c_i)^2``.
+
+Everything is formed in real arithmetic from ``x + i y = (s - mu) / (mu -
+c_i)`` and ``q = x (2 + x) + y^2 = |1 + x + i y|^2 - 1`` per node and label.
+A term over the saddle's has log-modulus ``Re(s - mu) - sum_i a_i
+log1p(q) / 2 + ln(cosh 2v) / 2`` and phase ``Im(s - mu) - sum_i a_i
+atan2(y, 1 + x) + atan(tanh v)``, and ``1 / (s - c_i) = ((1 + x) - i y) /
+((mu - c_i)(1 + q))``.  The scan that decides where the nodes end needs only
+the log-modulus.
 Weideman & Trefethen, Math. Comp. 76 (2007); SIAM Review 56 (2014).
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,58 +63,80 @@ def _saddle(a: list, c: list, lo: float, hi: float) -> float:
     return nxt
 
 
-def _terms(v, mu: float, d: np.ndarray, a: np.ndarray):
-    """``z = (s - mu) / (mu - c)`` and each node's log term over the saddle's;
-    ``ln(1 + z)`` is formed without rounding ``1 + z`` near the saddle."""
-    ds = 2.0 * mu * (-2.0 * np.sinh(0.5 * v) ** 2 + 1j * np.sinh(v))
-    z = ds[:, None] / d
-    x, y = z.real, z.imag
-    log1p_z = 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
-    return z, ds - log1p_z @ a + np.log(np.cosh(v) + 1j * np.sinh(v))
+def _nodes(v, mu: float, d: np.ndarray, a: np.ndarray):
+    """``(log_modulus, im, x, y, q)`` at nodes ``v``: each term's log-modulus
+    over the saddle's, ``im = Im(s - mu)``, ``x + i y = (s - mu) / (mu - c)``
+    and ``q = |1 + x + i y|^2 - 1``, formed without rounding ``1 + x`` near
+    the saddle."""
+    sh = np.sinh(0.5 * v)
+    re, im = -4.0 * mu * (sh * sh), 2.0 * mu * np.sinh(v)
+    x, y = re[:, None] / d, im[:, None] / d
+    q = x * (2.0 + x) + y * y
+    return re - 0.5 * (np.log1p(q) @ a) + 0.5 * np.log(np.cosh(2.0 * v)), im, x, y, q
 
 
-def _contour(a: np.ndarray, c: np.ndarray):
-    """``(log_scale, h, w, r)``: ``ln(prod Gamma(a) integral) = log_scale + ln(h
-    sum(w).real)`` on nodes ``v_j = h j >= 0``, ``w[j]`` doubled for ``j >= 1``
-    to stand for ``-v_j`` too, and ``r[j, i] = 1 / (s_j - c_i)``."""
+def _contour(a: np.ndarray, c: np.ndarray, log_gamma: float):
+    """``(log_scale, h, w, wi, r, ri)``: ``ln(prod Gamma(a) integral) = log_scale
+    + ln(h sum(w))`` on nodes ``v_j = h j >= 0``, with ``w + i wi`` the node
+    weights, doubled for ``j >= 1`` to stand for ``-v_j`` too, and ``r + i ri
+    = 1 / (s - c)``.  ``log_gamma`` is ``sum_i ln Gamma(a_i)``."""
     mu = _saddle(a.tolist(), c.tolist(), float(a[c == 0.0].sum()), float(a.sum()))
     d = mu - c
     # The Gaussian that fits the terms at the saddle has this width in v.
     h = min(0.5 / (mu * math.sqrt(float((a / (d * d)).sum()))) / 3.0, _SPACING)
     scan = 3.0 * h * 1.25 ** np.arange(math.ceil(math.log(_V_MAX / (3.0 * h), 1.25)) + 1)
-    last = np.flatnonzero(_terms(scan, mu, d, a)[1].real > -_TAIL).max(initial=-1)
+    last = np.flatnonzero(_nodes(scan, mu, d, a)[0] > -_TAIL).max(initial=-1)
     if last + 1 == len(scan):
         raise NoConvergence(f"contour terms do not decay (saddle at {mu:.3g})")
     v_max = scan[last + 1]
     for _ in range(_HALVINGS + 1):
-        z, log_w = _terms(h * np.arange(int(v_max / h) + 1), mu, d, a)
-        w = np.exp(log_w)
-        w[1:] *= 2.0
-        total = w.real.sum()
-        if abs(total - 2.0 * (w[0].real + w[2::2].real.sum())) <= _EMBEDDED_TOL * total:
-            log_scale = (sum(math.lgamma(x) for x in a.tolist()) + mu
-                         - float(a @ np.log(d)) + math.log(mu / math.pi))
-            return log_scale, h, w, 1.0 / (d * (1.0 + z))
+        v = h * np.arange(int(v_max / h) + 1)
+        log_modulus, im, x, y, q = _nodes(v, mu, d, a)
+        modulus = np.exp(log_modulus)
+        modulus[1:] *= 2.0
+        xp = 1.0 + x
+        phase = im - np.arctan2(y, xp) @ a + np.arctan(np.tanh(v))
+        w = modulus * np.cos(phase)
+        total = w.sum()
+        if abs(total - 2.0 * (w[0] + w[2::2].sum())) <= _EMBEDDED_TOL * total:
+            log_scale = log_gamma + mu - float(a @ np.log(d)) + math.log(mu / math.pi)
+            den = d * (1.0 + q)
+            return log_scale, h, w, modulus * np.sin(phase), xp / den, -y / den
         h *= 0.5
     raise NoConvergence(f"contour sum not converged at {2 * len(w) - 1} nodes")
 
 
-def _evaluate(p: Problem, beta: float):
-    """``(ln Z, means, moment, slope, nodes)`` at ``beta`` from one node set."""
+class Evaluation(NamedTuple):
+    """One contour pass at ``beta``: ``ln Z``, the means, the moment, its
+    slope and the number of nodes summed."""
+
+    log_z: float
+    means: np.ndarray
+    moment: float
+    slope: float
+    nodes: int
+
+
+def _evaluate(p: Problem, beta: float) -> Evaluation:
+    """:class:`Evaluation` at ``beta`` from one node set."""
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta!r}")
-    f = p.labels_array()
-    a = p.exponents() + 1.0
+    f, a, log_gamma = p.arrays
     top = int(np.argmax(beta * f))
     fs = f - f[top]
-    log_scale, h, w, r = _contour(a, beta * fs)
-    total = float(w.real.sum())
-    means = a * (w @ r).real / total
+    log_scale, h, w, wi, r, ri = _contour(a, beta * fs, log_gamma)
+    total = float(w.sum())
+    means = a * (w @ r - wi @ ri) / total
     m = float(fs @ means)
-    g = r @ (a * fs)
-    slope = float((w @ ((g - m) ** 2 + (r * r) @ (a * fs * fs))).real) / total
+    af = a * fs
+    af2 = af * fs
+    g, gi = r @ af - m, ri @ af
+    # The slope <(g - m)^2 + g_2>, with w, g - m and r split into Re and Im.
+    s_re = g * g - gi * gi + (r * r - ri * ri) @ af2
+    s_im = 2.0 * (g * gi + (r * ri) @ af2)
+    slope = float(w @ s_re - wi @ s_im) / total
     log_z = beta * float(f[top]) + log_scale + math.log(h * total)
-    return log_z, means, float(f[top]) + m, slope, 2 * len(w) - 1
+    return Evaluation(log_z, means, float(f[top]) + m, slope, 2 * len(w) - 1)
 
 
 def log_zeta(p: Problem, beta: float) -> LogZeta:
@@ -129,7 +160,8 @@ def variance_of_f(p: Problem, beta: float) -> float:
     return _evaluate(p, beta)[3]
 
 
-def moment_and_slope(p: Problem, beta: float) -> tuple[float, float]:
-    """Moment and slope; only the solver calls it (``perfbench`` counts it)."""
-    _, _, moment, slope, _ = _evaluate(p, beta)
-    return moment, slope
+def moment_and_slope(p: Problem, beta: float) -> Evaluation:
+    """The whole :class:`Evaluation`, of which the solver steps on the moment
+    and its slope and keeps the rest for its answer; only the solver calls it
+    (``perfbench`` counts it)."""
+    return _evaluate(p, beta)

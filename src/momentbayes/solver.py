@@ -6,7 +6,10 @@ The map ``beta -> E_beta[f . theta]`` is smooth and strictly increasing
 :func:`unit_span` labels ``(f - F) / (f_max - f_min)``, as is the comparator's
 tilt, by safeguarded Newton from the tilt at the saddle point; the multiplier
 there, ``tau = beta (f_max - f_min)``, is free of label shift and scale and is
-what ``beta_cap`` caps.
+what ``beta_cap`` caps.  The residual tolerance :data:`TOL` is stated on that
+problem too.  Each Newton step is one contour evaluation, and the solver keeps
+the one at its answer: :func:`full_update` assembles the posterior from it
+without evaluating again.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from . import normalization
 from .errors import DegenerateLabels, Diverged, NoConvergence
 from .model import OutcomeModel, Problem, bayes_posterior_mean
 
-DEFAULT_TOL = 1e-10
+TOL = 1e-12  # on the unit-span moment ((f - F) / span) . means
 DEFAULT_BETA_CAP = 1e6
 MAX_EVALS = 200
 
@@ -56,11 +59,11 @@ class SweepPoint:
     converged: bool
 
 
-def solve_increasing(newton, target, *, tol, cap, guess):
+def solve_increasing(newton, target, *, cap, guess):
     """Root of ``g(x) = target`` for a smooth strictly increasing ``g`` on
-    ``[-cap, cap]``.
+    ``[-cap, cap]``, its diagnostics, and what ``newton`` returned there.
 
-    ``newton(x)`` returns ``(g(x), slope)``.  Safeguarded Newton from
+    ``newton(x)`` returns ``(g(x), slope, kept)``.  Safeguarded Newton from
     ``guess`` (clipped to the cap): every evaluation narrows the bracket,
     whose sides stand at the cap until evaluated; a step that leaves the
     bracket bisects it, or probes the cap when that side is still open.  A
@@ -68,19 +71,18 @@ def solve_increasing(newton, target, *, tol, cap, guess):
     :class:`NoConvergence` when the evaluation budget runs out.
     Deterministic: identical inputs take identical paths.
     """
-    if not (tol > 0.0) or not (cap > 0.0):
-        raise ValueError(f"tol and cap must be positive, got tol={tol}, cap={cap}")
-    # Terminate slightly inside the requested tolerance so that the residual
-    # re-measured from the means, which rounds differently from the moment,
-    # still satisfies it.
-    stop = 0.5 * tol
+    if not (cap > 0.0):
+        raise ValueError(f"cap must be positive, got {cap}")
+    # Terminate slightly inside the tolerance so that the residual re-measured
+    # from the means, which rounds differently from the moment, still meets it.
+    stop = 0.5 * TOL
     seed = x = min(max(float(guess), -cap), cap)
     lo, hi = -cap, cap
     lo_open = hi_open = True
-    best = None  # (residual, x) among in-tolerance iterates
+    best = None  # (residual, x, kept) among in-tolerance iterates
     polish_left = 4
     for evals in range(1, MAX_EVALS + 1):
-        g, slope = newton(x)
+        g, slope, kept = newton(x)
         if abs(x) == cap and (g - target) * x < 0.0:
             raise Diverged(f"target not reached at the cap {x:g}: "
                            f"it lies at or beyond the attainable boundary")
@@ -93,12 +95,12 @@ def solve_increasing(newton, target, *, tol, cap, guess):
         step = (target - g) / slope if newton_ok else math.copysign(math.inf, target - g)
         if resid <= stop:
             if best is None or resid < best[0]:
-                best = (resid, x)
+                best = (resid, x, kept)
             # The residual criterion alone leaves x sloppy by resid/slope
             # when the slope is small; polish until the Newton step itself
             # is negligible (a step or two, by quadratic convergence).
             if not newton_ok or abs(step) <= 1e-12 * max(1.0, abs(x)) or polish_left == 0:
-                return best[1], SolveDiagnostics(evals, seed, (lo, hi), best[0])
+                return best[1], SolveDiagnostics(evals, seed, (lo, hi), best[0]), best[2]
             polish_left -= 1
         x += step
         if x >= hi:
@@ -106,8 +108,8 @@ def solve_increasing(newton, target, *, tol, cap, guess):
         elif x <= lo:
             x = -cap if lo_open else 0.5 * (lo + hi)
     if best is not None:
-        return best[1], SolveDiagnostics(MAX_EVALS, seed, (lo, hi), best[0])
-    raise NoConvergence(f"no solution to residual {tol} within {MAX_EVALS} evaluations")
+        return best[1], SolveDiagnostics(MAX_EVALS, seed, (lo, hi), best[0]), best[2]
+    raise NoConvergence(f"no solution to residual {TOL} within {MAX_EVALS} evaluations")
 
 
 def unit_span(f: np.ndarray, F: float) -> tuple[np.ndarray, float]:
@@ -131,7 +133,7 @@ def _seed(q: Problem) -> float:
     a_i d_i / (1 + x d_i) = 0``, strictly decreasing in ``x`` on ``1 + x d_i
     > 0``, so bracketed Newton from 0 finds ``x``."""
     d = q.model.labels
-    a = (q.exponents() + 1.0).tolist()
+    a = q.arrays[1].tolist()
     lo, hi = -1.0 / max(d), -1.0 / min(d)
     x = 0.0
     for _ in range(100):
@@ -150,31 +152,38 @@ def _seed(q: Problem) -> float:
     return -x * sum(r) if x else 0.0  # +0.0, not -0.0, at the Bayes point
 
 
-def solve_beta_detailed(p: Problem, tol: float = DEFAULT_TOL,
-                        beta_cap: float = DEFAULT_BETA_CAP) -> tuple[float, SolveDiagnostics]:
-    """As :func:`solve_beta`, also returning seed/bracket/iteration diagnostics."""
+def solve_beta_detailed(p: Problem, beta_cap: float = DEFAULT_BETA_CAP
+                        ) -> tuple[float, SolveDiagnostics, normalization.Evaluation]:
+    """As :func:`solve_beta`, also returning seed/bracket/iteration diagnostics
+    and the evaluation at the answer on the unit-span problem: its ``ln Z`` is
+    ``ln Z - beta F``, its moment and slope are those of ``(f - F) / span`` in
+    the tilt ``beta span``, and its means are the posterior means."""
     if p.model.degenerate:
         raise DegenerateLabels("all labels are equal: the multiplier is unidentified")
     q, span = _centred(p)
-    tau, diag = solve_increasing(lambda t: normalization.moment_and_slope(q, t), 0.0,
-                                 tol=tol / span, cap=beta_cap, guess=_seed(q))
+
+    def newton(t):
+        ev = normalization.moment_and_slope(q, t)
+        return ev.moment, ev.slope, ev
+
+    tau, diag, ev = solve_increasing(newton, 0.0, cap=beta_cap, guess=_seed(q))
     lo, hi = diag.bracket
     return tau / span, SolveDiagnostics(diag.evaluations, diag.seed / span,
-                                        (lo / span, hi / span), diag.residual * span)
+                                        (lo / span, hi / span), diag.residual * span), ev
 
 
-def solve_beta(p: Problem, tol: float = DEFAULT_TOL,
-               beta_cap: float = DEFAULT_BETA_CAP) -> float:
-    """The multiplier ``beta`` with ``|E_beta[f . theta] - F| <= tol``.
+def solve_beta(p: Problem, beta_cap: float = DEFAULT_BETA_CAP) -> float:
+    """The multiplier ``beta`` with ``|E_beta[f . theta] - F| <= TOL (f_max -
+    f_min)``.
 
     The solve starts from the saddle-point seed; it raises
     :class:`Diverged` past ``|beta| (f_max - f_min) = beta_cap``."""
-    return solve_beta_detailed(p, tol, beta_cap)[0]
+    return solve_beta_detailed(p, beta_cap)[0]
 
 
-def full_update(p: Problem, tol: float = DEFAULT_TOL,
-                beta_cap: float = DEFAULT_BETA_CAP) -> MEPosterior:
-    """Solve ``beta`` and assemble the complete posterior state.
+def full_update(p: Problem, beta_cap: float = DEFAULT_BETA_CAP) -> MEPosterior:
+    """Solve ``beta`` and assemble the complete posterior state from the
+    solver's evaluation at it.
 
     Degenerate labels make the constraint vacuous (it is satisfied by any
     distribution on the simplex), so the minimal update is ``beta = 0``.
@@ -192,27 +201,27 @@ def full_update(p: Problem, tol: float = DEFAULT_TOL,
             residual=abs(float(np.dot(f, means)) - p.moment_target),
             diagnostics=SolveDiagnostics(0, 0.0, (0.0, 0.0), 0.0),
         )
-    beta, diag = solve_beta_detailed(p, tol, beta_cap)
-    q, span = _centred(p)
-    log_z, means, _, slope, _ = normalization._evaluate(q, beta * span)
+    beta, diag, ev = solve_beta_detailed(p, beta_cap)
+    d, span = unit_span(f, p.moment_target)
+    means = ev.means
     residual = abs(float((f - p.moment_target) @ means))
-    if residual > tol or abs(float(means.sum()) - 1.0) > 1e-10:
+    if abs(float(d @ means)) > TOL or abs(float(means.sum()) - 1.0) > 1e-10:
         raise NoConvergence(
             f"inconsistent solution: residual {residual}, mean sum {means.sum()}"
         )
     return MEPosterior(
         problem=p,
         beta=beta,
-        log_zeta=log_z + beta * p.moment_target,
+        log_zeta=ev.log_z + beta * p.moment_target,
         means=tuple(float(x) for x in means),
-        variance_of_f=slope * span * span,
+        variance_of_f=ev.slope * span * span,
         residual=residual,
         diagnostics=diag,
     )
 
 
 def sweep(p: Problem, f_min: float, f_max: float, steps: int,
-          tol: float = DEFAULT_TOL, beta_cap: float = DEFAULT_BETA_CAP) -> list[SweepPoint]:
+          beta_cap: float = DEFAULT_BETA_CAP) -> list[SweepPoint]:
     """Solve ``beta`` on a uniform grid of moment targets (endpoints included).
 
     Points whose multiplier leaves the cap are reported with
@@ -233,7 +242,7 @@ def sweep(p: Problem, f_min: float, f_max: float, steps: int,
         F = float(F)
         q = Problem(p.model, p.data, p.prior, F)
         try:
-            beta = solve_beta(q, tol, beta_cap)
+            beta = solve_beta(q, beta_cap)
         except (Diverged, NoConvergence):
             out.append(SweepPoint(F=F, beta=math.nan, converged=False))
             continue

@@ -49,6 +49,7 @@ class TestUpdate:
         lo, hi = report["solver"]["bracket"]
         assert lo <= report["beta"] <= hi
         assert report["spec"]["pseudo_counts"] == [1.0, 1.0, 1.0]
+        assert set(report["solver"]) == {"iterations", "seed", "bracket", "beta_cap"}
 
     def test_writes_to_stdout_by_default(self, spec_file, capsys):
         assert run(["update", "--spec", spec_file]) == 0
@@ -259,3 +260,7 @@ class TestParser:
 
     def test_missing_required_flag_exits_2(self, capsys):
         assert run(["update"]) == 2
+
+    def test_no_tolerance_flag(self, spec_file, capsys):
+        # The tolerance is fixed on the unit-span moment.
+        assert run(["update", "--spec", spec_file, "--tol", "1e-8"]) == 2

@@ -16,6 +16,7 @@ from conftest import (
     DEMO_FREQS,
     DEMO_LABELS,
     DEMO_MEANS,
+    DEMO_TARGET,
     DEMO_TILTED,
 )
 
@@ -174,3 +175,18 @@ class TestCompare:
         p1 = make_problem(DEMO_LABELS, DEMO_COUNTS, 2.3)
         p25 = make_problem(DEMO_LABELS, tuple(25 * c for c in DEMO_COUNTS), 2.3)
         assert compare(p25).linf < compare(p1).linf
+
+
+@pytest.mark.parametrize("lam", [1e6, 1e9])
+@pytest.mark.parametrize("spans", [0.0, 1e5])
+def test_compare_across_label_scale_and_offset(demo, lam, spans):
+    # Both multipliers are solved on the unit-span labels to one tolerance.
+    offset = spans * lam * (max(DEMO_LABELS) - min(DEMO_LABELS))
+    p = make_problem([lam * x + offset for x in DEMO_LABELS], DEMO_COUNTS,
+                     lam * DEMO_TARGET + offset)
+    rep, ref = compare(p), compare(demo)
+    assert rep.beta * lam == pytest.approx(ref.beta, rel=1e-8)
+    assert rep.eta * lam == pytest.approx(ref.eta, rel=1e-8)
+    np.testing.assert_allclose(rep.me.means, ref.me.means, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(rep.tilted.probabilities, ref.tilted.probabilities,
+                               rtol=0, atol=1e-9)

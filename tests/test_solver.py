@@ -17,7 +17,7 @@ from momentbayes import (
     sweep,
 )
 from momentbayes.errors import DegenerateLabels, Diverged
-from momentbayes.solver import DEFAULT_BETA_CAP
+from momentbayes.solver import DEFAULT_BETA_CAP, TOL as UNIT_TOL
 
 from conftest import (
     DEMO_BAYES,
@@ -26,6 +26,7 @@ from conftest import (
     DEMO_COUNTS,
     DEMO_LABELS,
     DEMO_MEANS,
+    DEMO_TARGET,
     DEMO_ZETA,
     random_problem,
 )
@@ -110,7 +111,7 @@ class TestSolveBeta:
         assert solve_beta(demo) == solve_beta(demo)
 
     def test_diagnostics(self, demo):
-        beta, diag = solve_beta_detailed(demo)
+        beta, diag, _ = solve_beta_detailed(demo)
         assert diag.evaluations > 0
         assert diag.bracket[0] <= beta <= diag.bracket[1]
         span = max(DEMO_LABELS) - min(DEMO_LABELS)
@@ -172,7 +173,7 @@ class TestSolveBeta:
     ])
     def test_evaluation_budget(self, evaluations, labels, counts, target):
         p = make_problem(labels, counts, target)
-        beta, diag = solve_beta_detailed(p)
+        beta, diag, _ = solve_beta_detailed(p)
         assert diag.evaluations == len(evaluations) <= 5
         assert abs(moment_of_f(p, beta) - target) <= TOL
 
@@ -202,8 +203,8 @@ class TestFullUpdate:
         assert res.variance_of_f == 0.0
 
     def test_series_pass_budget(self, demo, monkeypatch):
-        # One contour pass per solver evaluation, then exactly one for the
-        # means, ln Z and the variance together.
+        # One contour pass per solver evaluation; the means, ln Z and the
+        # variance come from the one at the answer.
         calls = []
         inner = normalization._evaluate
 
@@ -213,7 +214,24 @@ class TestFullUpdate:
 
         monkeypatch.setattr(normalization, "_evaluate", counting)
         res = full_update(demo)
-        assert len(calls) == res.diagnostics.evaluations + 1
+        assert len(calls) == res.diagnostics.evaluations
+
+    def test_assembled_from_the_solvers_last_evaluation(self, demo, monkeypatch):
+        # The solver keeps the evaluation at its answer: the posterior state
+        # is that evaluation, on the unit-span labels, in the caller's units.
+        seen = []
+        inner = normalization.moment_and_slope
+
+        def keeping(*args):
+            seen.append(inner(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(normalization, "moment_and_slope", keeping)
+        res = full_update(demo)
+        last, span = seen[-1], max(DEMO_LABELS) - min(DEMO_LABELS)
+        assert res.means == tuple(float(x) for x in last.means)
+        assert res.log_zeta == last.log_z + res.beta * DEMO_TARGET
+        assert res.variance_of_f == last.slope * span * span
 
     def test_large_sample_far_target(self):
         # n = 2199 with the target far above the data mean: most of the
@@ -297,3 +315,34 @@ class TestSweep:
             sweep(demo, 2.5, 2.0, 5)
         with pytest.raises(ValueError):
             sweep(demo, 2.0, 2.5, 1)
+
+
+@pytest.mark.parametrize("lam", [1e6, 1e9])
+@pytest.mark.parametrize("spans", [0.0, 1e5])
+class TestUnitSpanTolerance:
+    """The residual tolerance is stated on the unit-span moment, so label scale
+    and offset change neither the answer nor whether there is one."""
+
+    @staticmethod
+    def scaled(lam, spans, target=DEMO_TARGET):
+        offset = spans * lam * (max(DEMO_LABELS) - min(DEMO_LABELS))
+        return make_problem([lam * x + offset for x in DEMO_LABELS], DEMO_COUNTS,
+                            lam * target + offset), offset
+
+    def test_full_update(self, demo, lam, spans):
+        p, _ = self.scaled(lam, spans)
+        res, ref = full_update(p), full_update(demo)
+        span = 2.0 * lam
+        assert res.beta * lam == pytest.approx(ref.beta, rel=1e-8)
+        np.testing.assert_allclose(res.means, ref.means, rtol=0, atol=1e-9)
+        assert res.residual <= UNIT_TOL * span
+        assert res.variance_of_f / lam**2 == pytest.approx(ref.variance_of_f, rel=1e-7)
+        assert res.diagnostics.evaluations <= 5
+
+    def test_sweep(self, lam, spans):
+        p, offset = self.scaled(lam, spans)
+        demo_points = sweep(make_problem(DEMO_LABELS, DEMO_COUNTS, DEMO_TARGET), 1.5, 2.5, 3)
+        points = sweep(p, lam * 1.5 + offset, lam * 2.5 + offset, 3)
+        assert all(pt.converged for pt in points)
+        for pt, ref in zip(points, demo_points):
+            assert pt.beta * lam == pytest.approx(ref.beta, rel=1e-8, abs=1e-9)
