@@ -27,13 +27,7 @@ from .model import (
     make_problem,
     validate_problem,
 )
-from .normalization import (
-    LogZeta,
-    log_zeta,
-    moment_of_f,
-    posterior_mean,
-    variance_of_f,
-)
+from .normalization import Evaluation, evaluate
 from .oracle import (
     MonteCarloMoments,
     OracleEstimate,
@@ -54,7 +48,7 @@ from .solver import (
 __all__ = [
     "CountData",
     "ComparisonReport",
-    "LogZeta",
+    "Evaluation",
     "MEPosterior",
     "MonteCarloMoments",
     "OracleEstimate",
@@ -69,19 +63,16 @@ __all__ = [
     "compare",
     "empirical_frequencies",
     "errors",
+    "evaluate",
     "full_update",
     "kummer_m_log",
     "log_unnormalized_density",
-    "log_zeta",
     "make_problem",
-    "moment_of_f",
     "montecarlo_moments",
-    "posterior_mean",
     "quadrature_zeta",
     "solve_beta",
     "solve_beta_detailed",
     "solve_tilt",
     "sweep",
     "validate_problem",
-    "variance_of_f",
 ]

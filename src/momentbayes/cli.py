@@ -152,7 +152,7 @@ def cmd_oracle(args) -> int:
     problem, echo = load_spec(args.spec)
     if args.beta is not None:
         beta = args.beta
-        log_z = normalization.log_zeta(problem, beta).log_value
+        log_z = normalization.evaluate(problem, beta).log_z
     else:
         result = solver.full_update(problem, beta_cap=args.beta_cap)
         beta, log_z = result.beta, result.log_zeta

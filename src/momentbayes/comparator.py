@@ -76,8 +76,10 @@ def solve_tilt(nu, f, F: float) -> TiltedEmpirical:
     f = np.asarray(f, dtype=float)
     if nu.shape != f.shape or nu.ndim != 1:
         raise ValueError(f"frequency/label shapes differ: {nu.shape} vs {f.shape}")
-    if np.any(nu < 0.0) or abs(nu.sum() - 1.0) > 1e-9:
+    if not (np.all(nu >= 0.0) and abs(nu.sum() - 1.0) <= 1e-9):
         raise ValueError(f"frequencies must be a probability vector, got {nu}")
+    if not np.isfinite(f).all():
+        raise ValueError(f"labels must be finite, got {f}")
     F = float(F)
     support = f[nu > 0.0]
     lo, hi = support.min(), support.max()

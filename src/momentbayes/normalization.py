@@ -26,7 +26,6 @@ Weideman & Trefethen, Math. Comp. 76 (2007); SIAM Review 56 (2014).
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,14 +38,6 @@ _V_MAX = 40.0
 _SPACING = math.pi / 4.0 / 6.0 / 3.0  # strip half-width pi/4, sixth of it, 3 nodes
 _EMBEDDED_TOL = 1e-13
 _HALVINGS = 6
-
-
-@dataclass(frozen=True)
-class LogZeta:
-    """``ln Z`` plus the number of contour nodes summed."""
-
-    log_value: float
-    terms_used: int
 
 
 def _saddle(a: list, c: list, lo: float, hi: float) -> float:
@@ -117,11 +108,11 @@ class Evaluation(NamedTuple):
     nodes: int
 
 
-def _evaluate(p: Problem, beta: float) -> Evaluation:
-    """:class:`Evaluation` at ``beta`` from one node set."""
+def _evaluate(f: np.ndarray, a: np.ndarray, log_gamma: float, beta: float) -> Evaluation:
+    """:class:`Evaluation` at ``beta`` from one node set, for labels ``f``,
+    shapes ``a = m + alpha`` and ``log_gamma = sum_i ln Gamma(a_i)``."""
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta!r}")
-    f, a, log_gamma = p.arrays
     top = int(np.argmax(beta * f))
     fs = f - f[top]
     log_scale, h, w, wi, r, ri = _contour(a, beta * fs, log_gamma)
@@ -139,29 +130,17 @@ def _evaluate(p: Problem, beta: float) -> Evaluation:
     return Evaluation(log_z, means, float(f[top]) + m, slope, 2 * len(w) - 1)
 
 
-def log_zeta(p: Problem, beta: float) -> LogZeta:
-    """``ln Z(beta)`` for a validated problem."""
-    log_value, *_, nodes = _evaluate(p, beta)
-    return LogZeta(log_value=log_value, terms_used=nodes)
+def evaluate(p: Problem, beta: float) -> Evaluation:
+    """``ln Z``, the posterior means, the moment ``E[f . theta]``, its
+    beta-slope (the variance of ``f . theta``) and the node count at ``beta``,
+    all from one contour pass."""
+    return _evaluate(*p.arrays, beta)
 
 
-def posterior_mean(p: Problem, beta: float) -> np.ndarray:
-    """Posterior mean of ``theta``."""
-    return _evaluate(p, beta)[1]
-
-
-def moment_of_f(p: Problem, beta: float) -> float:
-    """``E[sum_i f_i theta_i] = d ln Z / d beta``."""
-    return _evaluate(p, beta)[2]
-
-
-def variance_of_f(p: Problem, beta: float) -> float:
-    """Variance of ``sum_i f_i theta_i``: the beta-slope of :func:`moment_of_f`."""
-    return _evaluate(p, beta)[3]
-
-
-def moment_and_slope(p: Problem, beta: float) -> Evaluation:
-    """The whole :class:`Evaluation`, of which the solver steps on the moment
-    and its slope and keeps the rest for its answer; only the solver calls it
-    (``perfbench`` counts it)."""
-    return _evaluate(p, beta)
+def moment_and_slope(d: np.ndarray, a: np.ndarray, log_gamma: float,
+                     tau: float) -> Evaluation:
+    """The :class:`Evaluation` on the solver's unit-span labels ``d`` at the
+    tilt ``tau``, of which the solver steps on the moment and its slope and
+    keeps the rest for its answer; only the solver calls it (``perfbench``
+    counts it)."""
+    return _evaluate(d, a, log_gamma, tau)

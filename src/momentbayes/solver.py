@@ -21,7 +21,7 @@ import numpy as np
 
 from . import normalization
 from .errors import DegenerateLabels, Diverged, NoConvergence
-from .model import OutcomeModel, Problem, bayes_posterior_mean
+from .model import Problem, bayes_posterior_mean
 
 TOL = 1e-12  # on the unit-span moment ((f - F) / span) . means
 DEFAULT_BETA_CAP = 1e6
@@ -120,20 +120,13 @@ def unit_span(f: np.ndarray, F: float) -> tuple[np.ndarray, float]:
     return (f - F) / span, span
 
 
-def _centred(p: Problem) -> tuple[Problem, float]:
-    """The problem on :func:`unit_span` labels with target 0, and the span."""
-    d, span = unit_span(p.labels_array(), p.moment_target)
-    return Problem(OutcomeModel(d), p.data, p.prior, 0.0), span
-
-
-def _seed(q: Problem) -> float:
-    """Tilt ``-x sum_i a_i / (1 + x d_i)`` at the saddle point of ``q``
-    (labels ``d``, target 0, ``a = m + alpha``): the constrained maximum of
-    ``sum_i a_i ln theta_i`` is ``theta_i ∝ a_i / (1 + x d_i)`` with ``sum_i
+def _seed(d: np.ndarray, a: np.ndarray) -> float:
+    """Tilt ``-x sum_i a_i / (1 + x d_i)`` at the saddle point on the
+    :func:`unit_span` labels ``d`` (``a = m + alpha``): the constrained maximum
+    of ``sum_i a_i ln theta_i`` is ``theta_i ∝ a_i / (1 + x d_i)`` with ``sum_i
     a_i d_i / (1 + x d_i) = 0``, strictly decreasing in ``x`` on ``1 + x d_i
     > 0``, so bracketed Newton from 0 finds ``x``."""
-    d = q.model.labels
-    a = q.arrays[1].tolist()
+    d, a = d.tolist(), a.tolist()
     lo, hi = -1.0 / max(d), -1.0 / min(d)
     x = 0.0
     for _ in range(100):
@@ -160,13 +153,14 @@ def solve_beta_detailed(p: Problem, beta_cap: float = DEFAULT_BETA_CAP
     the tilt ``beta span``, and its means are the posterior means."""
     if p.model.degenerate:
         raise DegenerateLabels("all labels are equal: the multiplier is unidentified")
-    q, span = _centred(p)
+    f, a, log_gamma = p.arrays
+    d, span = unit_span(f, p.moment_target)
 
     def newton(t):
-        ev = normalization.moment_and_slope(q, t)
+        ev = normalization.moment_and_slope(d, a, log_gamma, t)
         return ev.moment, ev.slope, ev
 
-    tau, diag, ev = solve_increasing(newton, 0.0, cap=beta_cap, guess=_seed(q))
+    tau, diag, ev = solve_increasing(newton, 0.0, cap=beta_cap, guess=_seed(d, a))
     lo, hi = diag.bracket
     return tau / span, SolveDiagnostics(diag.evaluations, diag.seed / span,
                                         (lo / span, hi / span), diag.residual * span), ev
@@ -188,24 +182,23 @@ def full_update(p: Problem, beta_cap: float = DEFAULT_BETA_CAP) -> MEPosterior:
     Degenerate labels make the constraint vacuous (it is satisfied by any
     distribution on the simplex), so the minimal update is ``beta = 0``.
     """
-    f = p.labels_array()
+    f = p.arrays[0]
     if p.model.degenerate:
         means = bayes_posterior_mean(p)
-        lz = normalization.log_zeta(p, 0.0)
         return MEPosterior(
             problem=p,
             beta=0.0,
-            log_zeta=lz.log_value,
-            means=tuple(means),
+            log_zeta=normalization.evaluate(p, 0.0).log_z,
+            means=tuple(float(x) for x in means),
             variance_of_f=0.0,
             residual=abs(float(np.dot(f, means)) - p.moment_target),
             diagnostics=SolveDiagnostics(0, 0.0, (0.0, 0.0), 0.0),
         )
     beta, diag, ev = solve_beta_detailed(p, beta_cap)
-    d, span = unit_span(f, p.moment_target)
+    span = float(f.max() - f.min())
     means = ev.means
     residual = abs(float((f - p.moment_target) @ means))
-    if abs(float(d @ means)) > TOL or abs(float(means.sum()) - 1.0) > 1e-10:
+    if residual > TOL * span or abs(float(means.sum()) - 1.0) > 1e-10:
         raise NoConvergence(
             f"inconsistent solution: residual {residual}, mean sum {means.sum()}"
         )

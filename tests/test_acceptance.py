@@ -19,12 +19,10 @@ import numpy as np
 import pytest
 
 from momentbayes import (
+    evaluate,
     full_update,
-    log_zeta,
     make_problem,
-    moment_of_f,
     montecarlo_moments,
-    posterior_mean,
     quadrature_zeta,
     solve_beta,
     solve_tilt,
@@ -126,7 +124,7 @@ def test_criterion_4_series_vs_oracles_on_random_suite():
         p = make_problem(labels, counts, target)
         beta = float(rng.uniform(-20.0, 20.0))
 
-        series = log_zeta(p, beta).log_value
+        series = evaluate(p, beta).log_z
         quad = quadrature_zeta(p, beta).log_value
         worst_log_gap = max(worst_log_gap, abs(series - quad))
         assert abs(series - quad) <= 1e-8, (
@@ -134,7 +132,7 @@ def test_criterion_4_series_vs_oracles_on_random_suite():
         )
 
         mm = montecarlo_moments(p, beta, 10**6, seed=SUITE_SEED + idx)
-        mean = posterior_mean(p, beta)
+        mean = evaluate(p, beta).means
         for i in range(k):
             se = max(mm.mean_std_errors[i], 1e-12)
             z_scores.append(float((mean[i] - mm.means[i]) / se))
@@ -207,35 +205,35 @@ def test_criterion_6_invariances_on_random_inputs():
         # Shift: labels + c with target + c.
         c = float(rng.uniform(-3.0, 3.0))
         shifted = make_problem(labels + c, counts, target + c)
-        assert log_zeta(shifted, beta).log_value - log_zeta(p, beta).log_value == (
+        assert evaluate(shifted, beta).log_z - evaluate(p, beta).log_z == (
             pytest.approx(beta * c, abs=1e-10)
         )
         np.testing.assert_allclose(
-            posterior_mean(shifted, beta), posterior_mean(p, beta), atol=1e-10
+            evaluate(shifted, beta).means, evaluate(p, beta).means, atol=1e-10
         )
         assert abs(solve_beta(shifted) - solve_beta(p)) <= 1e-6
 
         # Scale: labels * lam with target * lam solves to beta / lam.
         lam = float(rng.choice([0.5, 2.0, -1.5]))
         scaled = make_problem(labels * lam, counts, target * lam)
-        assert log_zeta(scaled, beta).log_value == pytest.approx(
-            log_zeta(p, lam * beta).log_value, abs=1e-10
+        assert evaluate(scaled, beta).log_z == pytest.approx(
+            evaluate(p, lam * beta).log_z, abs=1e-10
         )
         assert abs(solve_beta(scaled) - solve_beta(p) / lam) <= 1e-9
 
         # Permutation equivariance.
         perm = rng.permutation(k)
         permuted = make_problem(labels[perm], counts[perm], target)
-        assert log_zeta(permuted, beta).log_value == pytest.approx(
-            log_zeta(p, beta).log_value, abs=1e-10
+        assert evaluate(permuted, beta).log_z == pytest.approx(
+            evaluate(p, beta).log_z, abs=1e-10
         )
         np.testing.assert_allclose(
-            posterior_mean(permuted, beta), posterior_mean(p, beta)[perm], atol=1e-10
+            evaluate(permuted, beta).means, evaluate(p, beta).means[perm], atol=1e-10
         )
 
         # Analytic moment equals the central difference of ln Z.
-        fd = (log_zeta(p, beta + h).log_value - log_zeta(p, beta - h).log_value) / (2 * h)
-        assert moment_of_f(p, beta) == pytest.approx(fd, abs=1e-6)
+        fd = (evaluate(p, beta + h).log_z - evaluate(p, beta - h).log_z) / (2 * h)
+        assert evaluate(p, beta).moment == pytest.approx(fd, abs=1e-6)
     _report(6, True, "shift/scale/permutation and derivative checks on 25 instances")
 
 

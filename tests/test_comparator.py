@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from momentbayes import (
     empirical_frequencies,
     make_problem,
     solve_tilt,
+    solver,
 )
 from momentbayes.errors import MomentOutOfRange, NoData, ZeroSupport
 
@@ -119,6 +123,20 @@ class TestSolveTilt:
             solve_tilt((0.5, 0.4), (1.0, 2.0), 1.5)  # does not sum to 1
         with pytest.raises(ValueError):
             solve_tilt((0.5, 0.5, 0.0), (1.0, 2.0), 1.5)
+
+    @pytest.mark.parametrize("nu, f", [
+        ((0.5, math.nan, 0.5), DEMO_LABELS),
+        (DEMO_FREQS, (1.0, math.nan, 3.0)),
+        (DEMO_FREQS, (1.0, 2.0, math.inf)),
+        (DEMO_FREQS, (-math.inf, 2.0, 3.0)),
+    ])
+    def test_non_finite_input_rejected_up_front(self, nu, f, monkeypatch):
+        # Refused before any solver evaluation, with no numpy warning.
+        monkeypatch.setattr(solver, "solve_increasing", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be"):
+                solve_tilt(nu, f, 2.3)
 
 
 class TestCompare:

@@ -12,7 +12,7 @@ from scipy.special import gammaln
 import momentbayes
 from momentbayes import (
     bayes_posterior_mean,
-    log_zeta,
+    evaluate,
     make_problem,
     montecarlo_moments,
     quadrature_zeta,
@@ -37,7 +37,7 @@ class TestQuadrature:
         )
 
     def test_agrees_with_series_at_demo_multiplier(self, demo):
-        series = log_zeta(demo, DEMO_BETA).log_value
+        series = evaluate(demo, DEMO_BETA).log_z
         assert abs(quadrature_zeta(demo, DEMO_BETA).log_value - series) <= 1e-8
 
     def test_deterministic(self, demo):
@@ -92,7 +92,7 @@ class TestMonteCarlo:
 
     def test_matches_series_and_reference_means(self, demo):
         mm = montecarlo_moments(demo, DEMO_BETA, 10**6, seed=5)
-        series = log_zeta(demo, DEMO_BETA).log_value
+        series = evaluate(demo, DEMO_BETA).log_z
         assert abs(mm.estimate.log_value - series) <= 3.0 * mm.estimate.std_error
         for i in range(3):
             assert abs(mm.means[i] - DEMO_MEANS[i]) <= 3.0 * mm.mean_std_errors[i] + 5e-4
@@ -105,7 +105,7 @@ class TestMonteCarlo:
         assert mm.low_ess
         assert mm.ess < 100
         assert math.isfinite(mm.estimate.log_value)
-        series = log_zeta(demo, DEMO_BETA).log_value
+        series = evaluate(demo, DEMO_BETA).log_z
         assert abs(mm.estimate.log_value - series) <= 4.0 * mm.estimate.std_error
 
     def test_ess_healthy_at_large_samples(self, demo):

@@ -6,10 +6,9 @@ import pytest
 
 from momentbayes import (
     bayes_posterior_mean,
+    evaluate,
     full_update,
-    log_zeta,
     make_problem,
-    moment_of_f,
     montecarlo_moments,
     normalization,
     solve_beta,
@@ -41,7 +40,7 @@ def evaluations(monkeypatch):
     inner = normalization.moment_and_slope
 
     def counting(*args):
-        calls.append(args[1])
+        calls.append(args[-1])
         return inner(*args)
 
     monkeypatch.setattr(normalization, "moment_and_slope", counting)
@@ -72,7 +71,7 @@ class TestSolveBeta:
         for _ in range(10):
             p = random_problem(rng)
             beta = solve_beta(p)
-            assert abs(moment_of_f(p, beta) - p.moment_target) <= TOL
+            assert abs(evaluate(p, beta).moment - p.moment_target) <= TOL
 
     def test_antisymmetric_case_returns_zero(self):
         p = make_problem((-1, 1), (4, 4), 0.0)
@@ -175,7 +174,7 @@ class TestSolveBeta:
         p = make_problem(labels, counts, target)
         beta, diag, _ = solve_beta_detailed(p)
         assert diag.evaluations == len(evaluations) <= 5
-        assert abs(moment_of_f(p, beta) - target) <= TOL
+        assert abs(evaluate(p, beta).moment - target) <= TOL
 
     def test_divergence_decided_at_the_cap(self, evaluations):
         with pytest.raises(Diverged):
@@ -192,6 +191,7 @@ class TestFullUpdate:
         assert res.residual <= TOL
         assert abs(sum(res.means) - 1.0) <= 1e-10
         assert res.variance_of_f > 0.0
+        assert all(type(x) is float for x in res.means)
         f = demo.labels_array()
         assert float(f @ np.asarray(res.means)) == pytest.approx(2.3, abs=10 * TOL)
 
@@ -200,6 +200,7 @@ class TestFullUpdate:
         res = full_update(p)
         assert res.beta == 0.0
         np.testing.assert_allclose(res.means, bayes_posterior_mean(p), rtol=1e-14)
+        assert all(type(x) is float for x in res.means)
         assert res.variance_of_f == 0.0
 
     def test_series_pass_budget(self, demo, monkeypatch):
@@ -289,7 +290,7 @@ class TestSweep:
         for pt in points:
             q = make_problem(DEMO_LABELS, DEMO_COUNTS, pt.F)
             cold = solve_beta(q)
-            assert abs(moment_of_f(q, pt.beta) - pt.F) <= TOL
+            assert abs(evaluate(q, pt.beta).moment - pt.F) <= TOL
             assert pt.beta == cold
 
     def test_diverged_points_recorded_not_fatal(self, demo):
@@ -346,3 +347,23 @@ class TestUnitSpanTolerance:
         assert all(pt.converged for pt in points)
         for pt, ref in zip(points, demo_points):
             assert pt.beta * lam == pytest.approx(ref.beta, rel=1e-8, abs=1e-9)
+
+
+def test_public_evaluator_describes_the_solved_posterior():
+    # The solver evaluates on unit-span labels; the public evaluator on the
+    # caller's labels at the returned beta must give the same posterior, for
+    # label scales over 12 orders of magnitude and offsets up to 1e5 spans.
+    rng = np.random.default_rng(61)
+    for _ in range(300):
+        k = int(rng.integers(2, 7))
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        offset = scale * rng.choice([0.0, 1.0]) * rng.uniform(-1e5, 1e5)
+        labels = offset + scale * np.sort(rng.uniform(0.0, 1.0, size=k))
+        lo, hi = labels[0], labels[-1]
+        p = make_problem(labels, rng.integers(0, 20, size=k),
+                         lo + (hi - lo) * rng.uniform(0.15, 0.85), rng.uniform(0.2, 3.0, size=k))
+        res = full_update(p)
+        ev = evaluate(p, res.beta)
+        assert abs(ev.log_z - res.log_zeta) <= 1e-13 * max(1.0, abs(res.log_zeta))
+        np.testing.assert_allclose(ev.means, res.means, rtol=0, atol=1e-14)
+        assert ev.slope == pytest.approx(res.variance_of_f, rel=1e-13)
