@@ -27,6 +27,10 @@ from .model import Problem, bayes_posterior_mean, make_problem
 _SPEC_FIELDS = {"labels", "counts", "moment_target", "pseudo_counts"}
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def load_spec(path: str) -> tuple[Problem, dict]:
     """Parse a spec file into a validated problem plus its canonical echo."""
     try:
@@ -36,9 +40,8 @@ def load_spec(path: str) -> tuple[Problem, dict]:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise BadSpec(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise BadSpec(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
+                      f"{exc.msg}") from exc
     if not isinstance(obj, dict):
         raise BadSpec(f"{path}: top level must be an object, got {type(obj).__name__}")
     unknown = set(obj) - _SPEC_FIELDS
@@ -48,19 +51,12 @@ def load_spec(path: str) -> tuple[Problem, dict]:
         if field not in obj:
             raise BadSpec(f"{path}: missing required field {field!r}")
     for field in ("labels", "counts"):
-        if not isinstance(obj[field], list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj[field]
-        ):
+        if not (isinstance(obj[field], list) and all(map(_is_number, obj[field]))):
             raise BadSpec(f"{path}: field {field!r} must be an array of numbers")
-    if not isinstance(obj["moment_target"], (int, float)) or isinstance(
-        obj["moment_target"], bool
-    ):
+    if not _is_number(obj["moment_target"]):
         raise BadSpec(f"{path}: field 'moment_target' must be a number")
     pseudo = obj.get("pseudo_counts")
-    if pseudo is not None and (
-        not isinstance(pseudo, list)
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pseudo)
-    ):
+    if pseudo is not None and not (isinstance(pseudo, list) and all(map(_is_number, pseudo))):
         raise BadSpec(f"{path}: field 'pseudo_counts' must be an array of numbers")
     try:
         problem = make_problem(obj["labels"], obj["counts"], obj["moment_target"], pseudo)
@@ -83,12 +79,17 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _dump_report(report: dict, out_path: str | None) -> None:
-    _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", out_path)
+    _emit(json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n", out_path)
 
 
+# JSON has no Infinity: huge normalizations are reported via their log only,
+# and an absent cap and an unevaluated bracket side as null.
 def _exp_or_none(log_x: float):
-    # JSON has no Infinity; huge normalizations are reported via their log only.
     return math.exp(log_x) if log_x < 700.0 else None
+
+
+def _finite_or_none(x: float):
+    return x if math.isfinite(x) else None
 
 
 def cmd_update(args) -> int:
@@ -107,8 +108,8 @@ def cmd_update(args) -> int:
         "solver": {
             "iterations": diag.evaluations,
             "seed": diag.seed,
-            "bracket": [diag.bracket[0], diag.bracket[1]],
-            "beta_cap": args.beta_cap,
+            "bracket": [_finite_or_none(x) for x in diag.bracket],
+            "beta_cap": _finite_or_none(args.beta_cap),
         },
     }
     _dump_report(report, args.out)
@@ -198,10 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp):
         sp.add_argument("--spec", required=True, help="JSON problem spec file")
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
-        sp.add_argument("--beta-cap", type=float, default=solver.DEFAULT_BETA_CAP,
-                        dest="beta_cap",
+        sp.add_argument("--beta-cap", type=float, default=math.inf, dest="beta_cap",
                         help="cap on the tilt |beta| (f_max - f_min) beyond which the solve "
-                             f"reports divergence (default {solver.DEFAULT_BETA_CAP:g})")
+                             "reports divergence (exit 3); none by default, and 'inf' means none")
 
     sp = sub.add_parser("update", help="solve the constrained posterior")
     add_common(sp)

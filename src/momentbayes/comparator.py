@@ -7,10 +7,10 @@ frequencies ``nu_i = m_i / n`` and tilts them onto the moment constraint:
     theta*_i = nu_i exp(eta f_i) / sum_j nu_j exp(eta f_j),
 
 with the scalar ``eta`` chosen so that ``sum_i f_i theta*_i = F`` (solved as
-the tilt ``eta (f_max - f_min)`` on the solver's unit-span labels, under its
-cap and to its tolerance).  This is the forward projection ``argmin KL(theta
-|| nu)`` of the frequencies onto the constraint.  It treats frequencies as
-probabilities and admits no fluctuations.  The posterior means do not tend to it as the sample
+the tilt ``eta (f_max - f_min)`` on the solver's unit-span labels, to its
+tolerance).  This is the forward projection ``argmin KL(theta || nu)`` of the
+frequencies onto the constraint.  It treats frequencies as probabilities and
+admits no fluctuations.  The posterior means do not tend to it as the sample
 grows: they tend to the constrained maximum-likelihood point, the reverse
 projection ``argmin KL(nu || theta)``.  The comparison report quantifies the
 difference, which at large ``n`` is the gap between the two projections.
@@ -88,14 +88,10 @@ def solve_tilt(nu, f, F: float) -> TiltedEmpirical:
         # All frequency sits on the target's label value: nothing to tilt.
         return TiltedEmpirical(freqs, 0.0, freqs)
     if not (f.min() < F < f.max()):
-        raise MomentOutOfRange(
-            f"target {F} must lie strictly inside ({f.min()}, {f.max()})"
-        )
+        raise MomentOutOfRange(f"target {F} must lie strictly inside ({f.min()}, {f.max()})")
     if not (lo < F < hi):
-        raise ZeroSupport(
-            f"target {F} is outside ({lo}, {hi}) spanned by outcomes with "
-            f"nonzero frequency: the tilt cannot move zero frequencies"
-        )
+        raise ZeroSupport(f"target {F} is outside ({lo}, {hi}) spanned by outcomes with "
+                          f"nonzero frequency: the tilt cannot move zero frequencies")
 
     d, span = solver.unit_span(f, F)
 
@@ -105,11 +101,11 @@ def solve_tilt(nu, f, F: float) -> TiltedEmpirical:
         slope = float(np.dot(d * d, probs)) - g * g
         return g, slope, probs
 
-    t, _, probs = solver.solve_increasing(newton, 0.0, cap=solver.DEFAULT_BETA_CAP, guess=0.0)
+    t, _, probs = solver.solve_increasing(newton, 0.0, guess=0.0)
     return TiltedEmpirical(freqs, t / span, tuple(float(x) for x in probs))
 
 
-def compare(p: Problem, beta_cap: float = solver.DEFAULT_BETA_CAP) -> ComparisonReport:
+def compare(p: Problem, beta_cap: float = math.inf) -> ComparisonReport:
     """Full posterior update next to the tilted-frequency solution."""
     nu = empirical_frequencies(p.data)
     me = solver.full_update(p, beta_cap)

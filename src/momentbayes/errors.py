@@ -59,8 +59,8 @@ class SolverError(MomentBayesError):
 
 
 class Diverged(SolverError):
-    """The multiplier left the configured cap: the target is effectively at
-    a boundary of the attainable range."""
+    """The multiplier lies past the cap the caller set (there is none by
+    default): the target is beyond the range the capped tilt attains."""
 
 
 class NoConvergence(SolverError):

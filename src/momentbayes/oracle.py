@@ -176,11 +176,13 @@ def montecarlo_moments(p: Problem, beta: float, samples: int,
         sw2t += w2 @ theta
         sw2t2 += w2 @ (theta * theta)
         left -= nb
+    w_mean = sw / samples
+    if w_mean == 0.0:
+        raise ToleranceNotMet(f"every importance weight underflows at beta={beta!r}")
     means = swt / sw
     # Delta-method standard errors of the self-normalized estimator.
     var_terms = np.maximum(sw2t2 - 2.0 * means * sw2t + means**2 * sw2, 0.0)
     mean_se = np.sqrt(var_terms) / sw
-    w_mean = sw / samples
     w_var = max(sw2 / samples - w_mean**2, 0.0) * samples / max(samples - 1, 1)
     log_se = math.sqrt(w_var / samples) / w_mean
     ln_b = sum(math.lgamma(x) for x in al.tolist()) - math.lgamma(float(al.sum()))

@@ -6,10 +6,10 @@ The map ``beta -> E_beta[f . theta]`` is smooth and strictly increasing
 :func:`unit_span` labels ``(f - F) / (f_max - f_min)``, as is the comparator's
 tilt, by safeguarded Newton from the tilt at the saddle point; the multiplier
 there, ``tau = beta (f_max - f_min)``, is free of label shift and scale and is
-what ``beta_cap`` caps.  The residual tolerance :data:`TOL` is stated on that
-problem too.  Each Newton step is one contour evaluation, and the solver keeps
-the one at its answer: :func:`full_update` assembles the posterior from it
-without evaluating again.
+what ``beta_cap`` caps, if the caller sets one.  The solve stops on the residual
+tolerance :data:`TOL`, stated on that problem too.  Each Newton step is one
+contour evaluation, and the solver keeps the one at its answer:
+:func:`full_update` assembles the posterior from it without evaluating again.
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ from .errors import DegenerateLabels, Diverged, NoConvergence
 from .model import Problem, bayes_posterior_mean
 
 TOL = 1e-12  # on the unit-span moment ((f - F) / span) . means
-DEFAULT_BETA_CAP = 1e6
 MAX_EVALS = 200
 
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
     """Evaluations, starting multiplier, the tightest bracket evaluated (an
-    unevaluated side stands at the cap) and the residual of the answer."""
+    unevaluated side is at the cap, infinite without one) and the residual."""
 
     evaluations: int
     seed: float
@@ -59,17 +58,20 @@ class SweepPoint:
     converged: bool
 
 
-def solve_increasing(newton, target, *, cap, guess):
+def solve_increasing(newton, target, *, guess, cap=math.inf):
     """Root of ``g(x) = target`` for a smooth strictly increasing ``g`` on
     ``[-cap, cap]``, its diagnostics, and what ``newton`` returned there.
 
     ``newton(x)`` returns ``(g(x), slope, kept)``.  Safeguarded Newton from
     ``guess`` (clipped to the cap): every evaluation narrows the bracket,
-    whose sides stand at the cap until evaluated; a step that leaves the
-    bracket bisects it, or probes the cap when that side is still open.  A
-    probe at the cap that falls short raises :class:`Diverged`;
-    :class:`NoConvergence` when the evaluation budget runs out.
-    Deterministic: identical inputs take identical paths.
+    whose sides stand at the cap until evaluated.  A step that leaves the
+    bracket, or that cycles back to the side of two evaluations ago without
+    halving the residual there, bisects it; past an open side it probes the
+    cap, and a probe there that falls short raises :class:`Diverged`.  With
+    no cap, once a step is not finite (a flat tail) none goes further from
+    the seed than twice the last iterate's distance plus ``|seed| + 1``.
+    :class:`NoConvergence` when the evaluation budget runs out.  Identical
+    inputs take identical paths.
     """
     if not (cap > 0.0):
         raise ValueError(f"cap must be positive, got {cap}")
@@ -79,18 +81,23 @@ def solve_increasing(newton, target, *, cap, guess):
     seed = x = min(max(float(guess), -cap), cap)
     lo, hi = -cap, cap
     lo_open = hi_open = True
+    flat = False  # a step was infinite: from then on open-side steps only double
+    two_back = one_back = (None, math.inf)  # (below target, residual) of the last evaluations
     best = None  # (residual, x, kept) among in-tolerance iterates
     polish_left = 4
     for evals in range(1, MAX_EVALS + 1):
         g, slope, kept = newton(x)
         if abs(x) == cap and (g - target) * x < 0.0:
-            raise Diverged(f"target not reached at the cap {x:g}: "
-                           f"it lies at or beyond the attainable boundary")
-        if g < target:
+            raise Diverged(f"target not reached at the cap {x:g}: the root lies beyond it")
+        below = g < target
+        if below:
             lo, lo_open = x, False
         else:
             hi, hi_open = x, False
         resid = abs(g - target)
+        # Newton jumping to and fro over the root: g bends (a moment switching modes).
+        cycling = two_back[0] == below != one_back[0] and resid > max(stop, 0.5 * two_back[1])
+        two_back, one_back = one_back, (below, resid)
         newton_ok = slope > 0.0 and math.isfinite(slope)
         step = (target - g) / slope if newton_ok else math.copysign(math.inf, target - g)
         if resid <= stop:
@@ -102,11 +109,15 @@ def solve_increasing(newton, target, *, cap, guess):
             if not newton_ok or abs(step) <= 1e-12 * max(1.0, abs(x)) or polish_left == 0:
                 return best[1], SolveDiagnostics(evals, seed, (lo, hi), best[0]), best[2]
             polish_left -= 1
-        x += step
+        last, x = x, 0.5 * (lo + hi) if cycling else x + step
         if x >= hi:
             x = cap if hi_open else 0.5 * (lo + hi)
         elif x <= lo:
             x = -cap if lo_open else 0.5 * (lo + hi)
+        flat = flat or math.isinf(x)  # x = +-cap past an open side: infinite if no cap
+        reach = 2.0 * abs(last - seed) + abs(seed) + 1.0
+        if flat and abs(x - seed) > reach:
+            x = seed + math.copysign(reach, x - seed)
     if best is not None:
         return best[1], SolveDiagnostics(MAX_EVALS, seed, (lo, hi), best[0]), best[2]
     raise NoConvergence(f"no solution to residual {TOL} within {MAX_EVALS} evaluations")
@@ -145,7 +156,7 @@ def _seed(d: np.ndarray, a: np.ndarray) -> float:
     return -x * sum(r) if x else 0.0  # +0.0, not -0.0, at the Bayes point
 
 
-def solve_beta_detailed(p: Problem, beta_cap: float = DEFAULT_BETA_CAP
+def solve_beta_detailed(p: Problem, beta_cap: float = math.inf
                         ) -> tuple[float, SolveDiagnostics, normalization.Evaluation]:
     """As :func:`solve_beta`, also returning seed/bracket/iteration diagnostics
     and the evaluation at the answer on the unit-span problem: its ``ln Z`` is
@@ -166,16 +177,16 @@ def solve_beta_detailed(p: Problem, beta_cap: float = DEFAULT_BETA_CAP
                                         (lo / span, hi / span), diag.residual * span), ev
 
 
-def solve_beta(p: Problem, beta_cap: float = DEFAULT_BETA_CAP) -> float:
+def solve_beta(p: Problem, beta_cap: float = math.inf) -> float:
     """The multiplier ``beta`` with ``|E_beta[f . theta] - F| <= TOL (f_max -
     f_min)``.
 
-    The solve starts from the saddle-point seed; it raises
-    :class:`Diverged` past ``|beta| (f_max - f_min) = beta_cap``."""
+    The solve starts from the saddle-point seed; with a finite ``beta_cap``
+    it raises :class:`Diverged` past ``|beta| (f_max - f_min) = beta_cap``."""
     return solve_beta_detailed(p, beta_cap)[0]
 
 
-def full_update(p: Problem, beta_cap: float = DEFAULT_BETA_CAP) -> MEPosterior:
+def full_update(p: Problem, beta_cap: float = math.inf) -> MEPosterior:
     """Solve ``beta`` and assemble the complete posterior state from the
     solver's evaluation at it.
 
@@ -199,9 +210,7 @@ def full_update(p: Problem, beta_cap: float = DEFAULT_BETA_CAP) -> MEPosterior:
     means = ev.means
     residual = abs(float((f - p.moment_target) @ means))
     if residual > TOL * span or abs(float(means.sum()) - 1.0) > 1e-10:
-        raise NoConvergence(
-            f"inconsistent solution: residual {residual}, mean sum {means.sum()}"
-        )
+        raise NoConvergence(f"inconsistent solution: residual {residual}, mean sum {means.sum()}")
     return MEPosterior(
         problem=p,
         beta=beta,
@@ -214,20 +223,20 @@ def full_update(p: Problem, beta_cap: float = DEFAULT_BETA_CAP) -> MEPosterior:
 
 
 def sweep(p: Problem, f_min: float, f_max: float, steps: int,
-          beta_cap: float = DEFAULT_BETA_CAP) -> list[SweepPoint]:
+          beta_cap: float = math.inf) -> list[SweepPoint]:
     """Solve ``beta`` on a uniform grid of moment targets (endpoints included).
 
-    Points whose multiplier leaves the cap are reported with
-    ``converged=False`` rather than aborting the sweep.  Every point starts
-    from its own saddle-point seed, so each equals a cold :func:`solve_beta`.
+    Points whose multiplier lies past a ``beta_cap`` the caller set, or whose
+    solve runs out of evaluations, are reported with ``converged=False``
+    rather than aborting the sweep.  Every point starts from its own
+    saddle-point seed, so each equals a cold :func:`solve_beta`.
     """
     if p.model.degenerate:
         raise DegenerateLabels("all labels are equal: nothing to sweep")
     lo, hi = min(p.model.labels), max(p.model.labels)
     if not (lo < f_min < f_max < hi):
-        raise ValueError(
-            f"sweep range ({f_min}, {f_max}) must satisfy {lo} < f_min < f_max < {hi}"
-        )
+        raise ValueError(f"sweep range ({f_min}, {f_max}) must satisfy "
+                         f"{lo} < f_min < f_max < {hi}")
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     out = []
@@ -235,9 +244,7 @@ def sweep(p: Problem, f_min: float, f_max: float, steps: int,
         F = float(F)
         q = Problem(p.model, p.data, p.prior, F)
         try:
-            beta = solve_beta(q, beta_cap)
+            out.append(SweepPoint(F=F, beta=solve_beta(q, beta_cap), converged=True))
         except (Diverged, NoConvergence):
             out.append(SweepPoint(F=F, beta=math.nan, converged=False))
-            continue
-        out.append(SweepPoint(F=F, beta=beta, converged=True))
     return out

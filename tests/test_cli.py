@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,8 +47,11 @@ class TestUpdate:
         assert report["residual"] <= 1e-10
         assert report["solver"]["iterations"] > 0
         assert abs(report["solver"]["seed"] - report["beta"]) <= 1.5
+        # The evaluated side bounds beta; the other, never evaluated, is null,
+        # and so is the cap, which is absent by default.
         lo, hi = report["solver"]["bracket"]
-        assert lo <= report["beta"] <= hi
+        assert lo <= report["beta"] and hi is None
+        assert report["solver"]["beta_cap"] is None
         assert report["spec"]["pseudo_counts"] == [1.0, 1.0, 1.0]
         assert set(report["solver"]) == {"iterations", "seed", "bracket", "beta_cap"}
 
@@ -252,6 +256,58 @@ class TestOracleCommand:
         assert run(["oracle", "--spec", spec, "--method", "quadrature",
                     "--beta", "0"]) == 4
         assert json.loads(capsys.readouterr().err)["error"] == "ToleranceNotMet"
+
+
+def strict_json(text):
+    """Parse JSON proper: Infinity and NaN are not JSON."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictReports:
+    COMMANDS = [["update"], ["compare"],
+                ["oracle", "--method", "montecarlo", "--beta", "14", "--samples", "10000"]]
+
+    @pytest.mark.parametrize("target", [2.3, 2.99999])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_reports_parse_as_strict_json(self, tmp_path, capsys, command, target):
+        spec = write_spec(tmp_path / "s.json", target=target)
+        assert run(command + ["--spec", spec]) == 0
+        report = strict_json(capsys.readouterr().out)
+        assert report["spec"]["moment_target"] == target
+
+    @pytest.mark.parametrize("target", [2.3, 2.99999])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_infinite_cap_is_no_cap(self, tmp_path, capsys, command, target):
+        spec = write_spec(tmp_path / "s.json", target=target)
+        assert run(command + ["--spec", spec]) == 0
+        default = capsys.readouterr().out
+        assert run(command + ["--spec", spec, "--beta-cap", "inf"]) == 0
+        assert capsys.readouterr().out == default
+
+    def test_cap_is_reported(self, spec_file, capsys):
+        assert run(["update", "--spec", spec_file, "--beta-cap", "1e6"]) == 0
+        solver_report = strict_json(capsys.readouterr().out)["solver"]
+        assert solver_report["beta_cap"] == 1e6
+        assert solver_report["bracket"][1] == 1e6 / 2.0
+
+    def test_near_edge_diverges_only_under_a_cap(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "s.json", target=2.99999)
+        assert run(["update", "--spec", spec, "--beta-cap", "1e6"]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "Diverged"
+
+    def test_montecarlo_weights_underflow(self, tmp_path, capsys):
+        # Labels x1e6 at beta = 14: every exp(beta (f . theta - f_max)) is 0.
+        spec = write_spec(tmp_path / "s.json", labels=(1e6, 2e6, 3e6), target=2.3e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["oracle", "--spec", spec, "--method", "montecarlo", "--beta", "14",
+                        "--samples", "10000"]) == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ToleranceNotMet"
 
 
 class TestParser:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,15 @@ class TestQuadrature:
 
 
 class TestMonteCarlo:
+    def test_every_weight_underflows(self):
+        # Labels x1e6 at beta = 14: every exp(beta (f . theta - f_max)) is 0,
+        # which must be a typed error before any division, not a warning.
+        p = make_problem((1e6, 2e6, 3e6), DEMO_COUNTS, 2.3e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ToleranceNotMet):
+                montecarlo_moments(p, 14.0, 10**4, seed=0)
+
     def test_zero_multiplier_recovers_conjugate(self, demo):
         mm = montecarlo_moments(demo, 0.0, 10**5, seed=3)
         expected = float(gammaln(12) + gammaln(3) + gammaln(8) - gammaln(23))

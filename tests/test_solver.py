@@ -16,7 +16,7 @@ from momentbayes import (
     sweep,
 )
 from momentbayes.errors import DegenerateLabels, Diverged
-from momentbayes.solver import DEFAULT_BETA_CAP, TOL as UNIT_TOL
+from momentbayes.solver import TOL as UNIT_TOL
 
 from conftest import (
     DEMO_BAYES,
@@ -110,12 +110,13 @@ class TestSolveBeta:
         assert solve_beta(demo) == solve_beta(demo)
 
     def test_diagnostics(self, demo):
-        beta, diag, _ = solve_beta_detailed(demo)
+        cap = 1e6
+        beta, diag, _ = solve_beta_detailed(demo, beta_cap=cap)
         assert diag.evaluations > 0
         assert diag.bracket[0] <= beta <= diag.bracket[1]
         span = max(DEMO_LABELS) - min(DEMO_LABELS)
-        assert -DEFAULT_BETA_CAP / span <= diag.bracket[0]
-        assert diag.bracket[1] <= DEFAULT_BETA_CAP / span
+        assert -cap / span <= diag.bracket[0]
+        assert diag.bracket[1] <= cap / span
         assert diag.residual <= TOL
         # The seed is the constrained maximum of sum_i a_i ln theta_i:
         # theta_i = a_i / (A - seed (f_i - F)) sums to 1 and meets F.
@@ -147,11 +148,10 @@ class TestSolveBeta:
         assert res_p.beta * lam == pytest.approx(ref.beta, rel=1e-10)
         np.testing.assert_allclose(res_p.means, ref.means, rtol=0, atol=1e-12)
 
-    def test_far_target_within_default_cap(self):
+    def test_far_target_at_large_tilt(self):
         # Large-sample targets far from the data mean, well-posed, at tilts
-        # beta * span of about 6955, 10432 and 11340: the first has beta
-        # about 13,700, beyond an absolute cap of 1e4 on beta; the other two
-        # lie beyond a cap of 1e4 on the tilt.
+        # beta * span of about 6955, 10432 and 11340 (beta about 13,700 in
+        # the first).
         cases = [
             ((0.0, 0.253, 0.506), (495, 1645, 246), (1.0, 1.0, 2.0), 0.7252 * 0.506, 6955),
             ((8.6686, 10.4872, 11.4562), (781, 1325, 50), (2.0, 3.0, 1.0), 10.9023, 10432),
@@ -177,8 +177,9 @@ class TestSolveBeta:
         assert abs(evaluate(p, beta).moment - target) <= TOL
 
     def test_divergence_decided_at_the_cap(self, evaluations):
+        # The tilt here is about 3.0e6: past the cap the caller set.
         with pytest.raises(Diverged):
-            solve_beta(make_problem(DEMO_LABELS, DEMO_COUNTS, 2.99999))
+            solve_beta(make_problem(DEMO_LABELS, DEMO_COUNTS, 2.99999), beta_cap=1e6)
         assert 1 <= len(evaluations) <= 3
 
 

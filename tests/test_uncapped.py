@@ -1,0 +1,190 @@
+"""The multiplier solve has no cap unless the caller sets one: well-posed
+problems arbitrarily close to the edge of the label range solve, and a cap the
+caller sets is decided by one probe there."""
+
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from momentbayes import (compare, evaluate, full_update, make_problem, normalization,
+                         solve_beta_detailed, sweep)
+from momentbayes.errors import Diverged, MomentOutOfRange
+from momentbayes.solver import TOL, solve_increasing
+
+from conftest import DEMO_COUNTS, DEMO_LABELS
+
+MAX_EVALS = 8
+
+
+@pytest.fixture
+def tilts(monkeypatch):
+    """Records the tilt of each solver evaluation."""
+    calls = []
+    inner = normalization.moment_and_slope
+
+    def recording(*args):
+        calls.append(args[-1])
+        return inner(*args)
+
+    monkeypatch.setattr(normalization, "moment_and_slope", recording)
+    return calls
+
+
+def assert_solved(res, tilts, max_evals=MAX_EVALS):
+    f = res.problem.labels_array()
+    span = float(f.max() - f.min())
+    assert res.residual <= TOL * span
+    assert res.diagnostics.evaluations == len(tilts) <= max_evals
+    assert all(math.isfinite(t) for t in tilts)
+
+
+class TestSolveIncreasing:
+    @staticmethod
+    def tanh_from_flat_tail(xs):
+        # At the guess 0 the slope of tanh(x - 50) is 0.0 in floating point.
+        def newton(x):
+            xs.append(x)
+            g = math.tanh(x - 50.0)
+            return g, 1.0 - g * g, None
+        return newton
+
+    def test_flat_tail_without_cap(self):
+        xs = []
+        x, diag, _ = solve_increasing(self.tanh_from_flat_tail(xs), 0.5, guess=0.0)
+        assert x == pytest.approx(50.0 + math.atanh(0.5), abs=1e-12)
+        assert all(math.isfinite(v) for v in xs)
+        assert diag.evaluations == len(xs) <= 30
+
+    def test_flat_tail_under_a_cap(self):
+        xs = []
+        with pytest.raises(Diverged):
+            solve_increasing(self.tanh_from_flat_tail(xs), 0.5, guess=0.0, cap=10.0)
+        assert xs == [0.0, 10.0]
+
+    def test_unevaluated_side_is_infinite(self, demo):
+        # The demo's solve approaches its answer from below only.
+        beta, diag, _ = solve_beta_detailed(demo)
+        assert diag.bracket[0] <= beta and diag.bracket[1] == math.inf
+        _, diag, _ = solve_beta_detailed(demo, beta_cap=1e6)
+        assert diag.bracket[1] == 1e6 / 2.0
+
+
+def near_edge_problems(n, seed):
+    """Problems with F within 1e-12 to 0.3 of the span from an edge; the few
+    whose F rounds onto the edge label are invalid and left out."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        k = int(rng.integers(2, 8))
+        scale = math.exp(rng.uniform(math.log(1e-6), math.log(1e6)))
+        offset = scale * rng.uniform(-1e5, 1e5) if rng.uniform() < 0.5 else 0.0
+        x = np.sort(rng.uniform(0.0, 1.0, k))
+        x[0], x[-1] = 0.0, 1.0
+        counts = [int(math.exp(rng.uniform(0.0, math.log(1e7)))) if rng.uniform() < 0.8 else 0
+                  for _ in range(k)]
+        pseudo = np.exp(rng.uniform(math.log(0.01), math.log(2.0), k))
+        gap = math.exp(rng.uniform(math.log(1e-12), math.log(0.3)))
+        u = 1.0 - gap if rng.uniform() < 0.5 else gap
+        try:
+            yield make_problem(offset + scale * x, counts, offset + scale * u, pseudo)
+        except MomentOutOfRange:
+            pass
+
+
+def test_near_edge_problems_solve(tilts):
+    evaluations = []
+    for p in near_edge_problems(200, 14):
+        tilts.clear()
+        res = full_update(p)
+        evaluations.append(res.diagnostics.evaluations)
+        assert_solved(res, tilts, max_evals=12)
+    # All but two take at most 7. Those two have an outcome with no count
+    # and a pseudo-count below 0.05, whose moment switches between two modes
+    # in a bend that Newton jumps across: 9 and 12 evaluations.
+    assert len(evaluations) == 192
+    assert sum(e > MAX_EVALS for e in evaluations) <= 2
+
+
+def test_newton_cycle_across_a_bend(tilts):
+    # 126540 counts against none and a pseudo-count of 0.015: near tau =
+    # 1.27e5 the moment switches between two modes, and Newton jumped to and
+    # fro across the bend, inside the bracket, until its 200 evaluations ran out.
+    p = make_problem((0.2681653458130509, 0.26816919710002074), (126540, 0),
+                     0.26816534773093276, (0.018218330743103826, 0.0146305365707073))
+    res = full_update(p)
+    assert_solved(res, tilts, max_evals=12)
+    assert res.beta * (p.model.labels[1] - p.model.labels[0]) == pytest.approx(1.272e5, rel=1e-3)
+
+
+TOP = [3.0 - 1e-5, 3.0 - 1e-7, 3.0 - 1e-9, 3.0 - 1e-12, math.nextafter(3.0, 0.0)]
+BOTTOM = [1.0 + 1e-5, 1.0 + 1e-7, 1.0 + 1e-9, 1.0 + 1e-12, math.nextafter(1.0, 2.0)]
+
+
+class TestDemoAtTheEdge:
+    @pytest.mark.parametrize("target", TOP + BOTTOM)
+    def test_full_update(self, tilts, target):
+        res = full_update(make_problem(DEMO_LABELS, DEMO_COUNTS, target))
+        assert_solved(res, tilts)
+        # Off the near label, E[theta_j] tends to a_j / (beta (f_near - f_j)).
+        f, a = np.asarray(DEMO_LABELS), np.asarray(DEMO_COUNTS) + 1.0
+        near = 2 if target > 2.0 else 0
+        tau = res.beta * 2.0
+        for j in range(3):
+            if j != near:
+                asymptote = a[j] / (res.beta * (f[near] - f[j]))
+                assert abs(res.means[j] / asymptote - 1.0) <= 30.0 / abs(tau) + 1e-14
+
+    @pytest.mark.parametrize("target", TOP + BOTTOM)
+    def test_compare(self, target):
+        report = compare(make_problem(DEMO_LABELS, DEMO_COUNTS, target))
+        f = np.asarray(DEMO_LABELS)
+        assert abs(float(f @ np.asarray(report.me.means)) - target) <= 2.0 * TOL
+        assert abs(float(f @ np.asarray(report.tilted.probabilities)) - target) <= 2.0 * TOL
+
+    @pytest.mark.parametrize("lo, hi", [(TOP[0], TOP[-1]), (BOTTOM[-1], BOTTOM[0])])
+    def test_sweep(self, tilts, lo, hi):
+        points = sweep(make_problem(DEMO_LABELS, DEMO_COUNTS, 2.3), lo, hi, 5)
+        assert all(pt.converged for pt in points)
+        betas = [pt.beta for pt in points]
+        assert all(b2 > b1 for b1, b2 in zip(betas, betas[1:]))
+        assert len(tilts) <= MAX_EVALS * len(points)
+        assert all(math.isfinite(t) for t in tilts)
+
+
+@pytest.mark.parametrize("mult, tilt", [(5e4, 1.2116e6), (5e8, 1.2116e10)])
+def test_demo_with_many_counts(tilts, mult, tilt):
+    res = full_update(make_problem(DEMO_LABELS, [int(c * mult) for c in DEMO_COUNTS], 2.3))
+    assert_solved(res, tilts)
+    assert res.beta * 2.0 == pytest.approx(tilt, rel=1e-4)
+
+
+def two_outcome_reference(a1, a2, tau):
+    """``ln Z``, ``E[theta_1]`` and the variance of ``theta_2`` for labels (0, 1)
+    at the tilt ``tau`` in 50 digits: ``Z = e^tau B(a1, a2) M(a1; A; -tau)``
+    and ``d/dtau M(a; b; -tau) = -(a / b) M(a + 1; b + 1; -tau)``."""
+    with mp.workdps(50):
+        A, t = mp.mpf(a1) + a2, mp.mpf(tau)
+        m0, m1, m2 = (mp.hyp1f1(a1 + j, A + j, -t) for j in range(3))
+        r1 = a1 / A * m1 / m0
+        r2 = a1 * (a1 + 1) / (A * (A + 1)) * m2 / m0
+        return float(t + mp.log(mp.beta(a1, a2)) + mp.log(m0)), float(r1), float(r2 - r1 * r1)
+
+
+@pytest.mark.parametrize("tau", [1e6, 1e9, 1e12, 1e14])
+@pytest.mark.parametrize("counts, pseudo", [((11, 7), (1.0, 1.0)), ((0, 3), (0.5, 2.0)),
+                                            ((1000, 10), (0.01, 1.0))])
+def test_two_outcome_against_kummer(tilts, tau, counts, pseudo):
+    p = make_problem((0.0, 1.0), counts, 0.5, pseudo)
+    log_z, bottom, var = two_outcome_reference(counts[0] + pseudo[0], counts[1] + pseudo[1], tau)
+    ev = evaluate(p, tau)
+    assert ev.log_z == pytest.approx(log_z, rel=1e-15)
+    assert ev.means[0] == pytest.approx(bottom, rel=1e-14)
+    assert ev.moment == pytest.approx(1.0 - bottom, abs=1e-15)
+    assert ev.slope == pytest.approx(var, rel=1e-12)
+    # Solving back from the moment: the target F = 1 - E[theta_1] holds
+    # E[theta_1] to about 1e-16 / E[theta_1] relative, and so the tilt.
+    target = 1.0 - bottom
+    res = full_update(make_problem((0.0, 1.0), counts, target, pseudo))
+    assert_solved(res, tilts)
+    assert res.beta == pytest.approx(tau, rel=1e-10 + 4e-16 / (1.0 - target))
