@@ -60,7 +60,7 @@ def load_spec(path: str) -> tuple[Problem, dict]:
         raise BadSpec(f"{path}: field 'pseudo_counts' must be an array of numbers")
     try:
         problem = make_problem(obj["labels"], obj["counts"], obj["moment_target"], pseudo)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise BadSpec(f"{path}: {exc}") from exc
     echo = {
         "labels": [float(x) for x in problem.model.labels],

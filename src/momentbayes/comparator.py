@@ -65,7 +65,7 @@ def empirical_frequencies(data: CountData) -> np.ndarray:
 
 
 def _tilted_probs(nu: np.ndarray, f: np.ndarray, eta: float) -> np.ndarray:
-    z = eta * f
+    z = np.where(nu > 0.0, eta * f, -np.inf)  # shift by the largest tilt on the support
     w = nu * np.exp(z - z.max())
     return w / w.sum()
 
@@ -101,7 +101,7 @@ def solve_tilt(nu, f, F: float) -> TiltedEmpirical:
         slope = float(np.dot(d * d, probs)) - g * g
         return g, slope, probs
 
-    t, _, probs = solver.solve_increasing(newton, 0.0, guess=0.0)
+    t, _, probs = solver.solve_increasing(newton, guess=0.0)
     return TiltedEmpirical(freqs, t / span, tuple(float(x) for x in probs))
 
 

@@ -59,8 +59,8 @@ class SolverError(MomentBayesError):
 
 
 class Diverged(SolverError):
-    """The multiplier lies past the cap the caller set (there is none by
-    default): the target is beyond the range the capped tilt attains."""
+    """The solved tilt ``|beta| (f_max - f_min)`` lies past the cap the
+    caller set (there is none by default)."""
 
 
 class NoConvergence(SolverError):

@@ -31,6 +31,7 @@ DEFAULT_REL_TOL = 1e-10
 MIN_SAMPLES = 10**3
 LOW_ESS = 100.0
 _BATCH = 1 << 17
+_QUADRATURE_EVALS = 1_000_000  # integrand evaluations; tier-1 and benchmark cases need < 4e5
 _KUMMER_EPS = 1e-15
 _KUMMER_RUN = 3
 _KUMMER_MAX_TERMS = 10**6
@@ -74,8 +75,8 @@ def quadrature_zeta(p: Problem, beta: float,
 
     Integrates in the reduced coordinates (the last coordinate eliminated
     via ``1 - sum``), innermost dimension adapting first.  Deterministic;
-    raises when the error estimate cannot be brought under ``rel_tol`` or
-    the integrand underflows to zero.
+    raises when the error estimate cannot be brought under ``rel_tol``, the
+    integrand underflows to zero, or the evaluation budget runs out.
     """
     integrate = _scipy("integrate")
     k = p.k
@@ -95,6 +96,8 @@ def quadrature_zeta(p: Problem, beta: float,
 
     def density(theta):
         evals[0] += 1
+        if evals[0] > _QUADRATURE_EVALS:
+            raise ToleranceNotMet(f"no estimate within {_QUADRATURE_EVALS} integrand evaluations")
         total = -shift
         for ei, fi, ti in zip(e, f, theta):
             if ti <= 0.0:

@@ -5,10 +5,10 @@ The map ``beta -> E_beta[f . theta]`` is smooth and strictly increasing
 (slope equals the posterior variance of ``f . theta``).  It is solved on the
 :func:`unit_span` labels ``(f - F) / (f_max - f_min)``, as is the comparator's
 tilt, by safeguarded Newton from the tilt at the saddle point; the multiplier
-there, ``tau = beta (f_max - f_min)``, is free of label shift and scale and is
-what ``beta_cap`` caps, if the caller sets one.  The solve stops on the residual
-tolerance :data:`TOL`, stated on that problem too.  Each Newton step is one
-contour evaluation, and the solver keeps the one at its answer:
+there, ``tau = beta (f_max - f_min)``, is free of label shift and scale.  The
+solve stops on the residual tolerance :data:`TOL`, stated on that problem too;
+a ``beta_cap`` the caller sets is a check on the solved ``tau``.  Each Newton
+step is one contour evaluation, and the solver keeps the one at its answer:
 :func:`full_update` assembles the posterior from it without evaluating again.
 """
 
@@ -30,7 +30,7 @@ MAX_EVALS = 200
 @dataclass(frozen=True)
 class SolveDiagnostics:
     """Evaluations, starting multiplier, the tightest bracket evaluated (an
-    unevaluated side is at the cap, infinite without one) and the residual."""
+    unevaluated side is infinite) and the residual."""
 
     evaluations: int
     seed: float
@@ -58,48 +58,42 @@ class SweepPoint:
     converged: bool
 
 
-def solve_increasing(newton, target, *, guess, cap=math.inf):
-    """Root of ``g(x) = target`` for a smooth strictly increasing ``g`` on
-    ``[-cap, cap]``, its diagnostics, and what ``newton`` returned there.
+def solve_increasing(newton, *, guess):
+    """Root of a smooth strictly increasing ``g``, its diagnostics, and what
+    ``newton`` returned there.
 
     ``newton(x)`` returns ``(g(x), slope, kept)``.  Safeguarded Newton from
-    ``guess`` (clipped to the cap): every evaluation narrows the bracket,
-    whose sides stand at the cap until evaluated.  A step that leaves the
-    bracket, or that cycles back to the side of two evaluations ago without
-    halving the residual there, bisects it; past an open side it probes the
-    cap, and a probe there that falls short raises :class:`Diverged`.  With
-    no cap, once a step is not finite (a flat tail) none goes further from
-    the seed than twice the last iterate's distance plus ``|seed| + 1``.
+    ``guess``: every evaluation narrows the bracket, whose sides stand at
+    ``-inf`` and ``inf`` until evaluated.  A step that leaves the bracket, or
+    that cycles back to the side of two evaluations ago without halving the
+    residual there, bisects it, which is infinite toward an open side; once a
+    step is not finite (a flat tail) none goes further from the seed than
+    twice the last iterate's distance plus ``|seed| + 1``.
     :class:`NoConvergence` when the evaluation budget runs out.  Identical
     inputs take identical paths.
     """
-    if not (cap > 0.0):
-        raise ValueError(f"cap must be positive, got {cap}")
     # Terminate slightly inside the tolerance so that the residual re-measured
     # from the means, which rounds differently from the moment, still meets it.
     stop = 0.5 * TOL
-    seed = x = min(max(float(guess), -cap), cap)
-    lo, hi = -cap, cap
-    lo_open = hi_open = True
+    seed = x = float(guess)
+    lo, hi = -math.inf, math.inf
     flat = False  # a step was infinite: from then on open-side steps only double
-    two_back = one_back = (None, math.inf)  # (below target, residual) of the last evaluations
+    two_back = one_back = (None, math.inf)  # (below the root, residual) of the last evaluations
     best = None  # (residual, x, kept) among in-tolerance iterates
     polish_left = 4
     for evals in range(1, MAX_EVALS + 1):
         g, slope, kept = newton(x)
-        if abs(x) == cap and (g - target) * x < 0.0:
-            raise Diverged(f"target not reached at the cap {x:g}: the root lies beyond it")
-        below = g < target
+        below = g < 0.0
         if below:
-            lo, lo_open = x, False
+            lo = x
         else:
-            hi, hi_open = x, False
-        resid = abs(g - target)
+            hi = x
+        resid = abs(g)
         # Newton jumping to and fro over the root: g bends (a moment switching modes).
         cycling = two_back[0] == below != one_back[0] and resid > max(stop, 0.5 * two_back[1])
         two_back, one_back = one_back, (below, resid)
         newton_ok = slope > 0.0 and math.isfinite(slope)
-        step = (target - g) / slope if newton_ok else math.copysign(math.inf, target - g)
+        step = -g / slope if newton_ok else math.copysign(math.inf, -g)
         if resid <= stop:
             if best is None or resid < best[0]:
                 best = (resid, x, kept)
@@ -110,11 +104,9 @@ def solve_increasing(newton, target, *, guess, cap=math.inf):
                 return best[1], SolveDiagnostics(evals, seed, (lo, hi), best[0]), best[2]
             polish_left -= 1
         last, x = x, 0.5 * (lo + hi) if cycling else x + step
-        if x >= hi:
-            x = cap if hi_open else 0.5 * (lo + hi)
-        elif x <= lo:
-            x = -cap if lo_open else 0.5 * (lo + hi)
-        flat = flat or math.isinf(x)  # x = +-cap past an open side: infinite if no cap
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        flat = flat or math.isinf(x)
         reach = 2.0 * abs(last - seed) + abs(seed) + 1.0
         if flat and abs(x - seed) > reach:
             x = seed + math.copysign(reach, x - seed)
@@ -162,6 +154,8 @@ def solve_beta_detailed(p: Problem, beta_cap: float = math.inf
     and the evaluation at the answer on the unit-span problem: its ``ln Z`` is
     ``ln Z - beta F``, its moment and slope are those of ``(f - F) / span`` in
     the tilt ``beta span``, and its means are the posterior means."""
+    if not (beta_cap > 0.0):
+        raise ValueError(f"cap must be positive, got {beta_cap}")
     if p.model.degenerate:
         raise DegenerateLabels("all labels are equal: the multiplier is unidentified")
     f, a, log_gamma = p.arrays
@@ -171,7 +165,9 @@ def solve_beta_detailed(p: Problem, beta_cap: float = math.inf
         ev = normalization.moment_and_slope(d, a, log_gamma, t)
         return ev.moment, ev.slope, ev
 
-    tau, diag, ev = solve_increasing(newton, 0.0, cap=beta_cap, guess=_seed(d, a))
+    tau, diag, ev = solve_increasing(newton, guess=_seed(d, a))
+    if abs(tau) > beta_cap:
+        raise Diverged(f"the tilt {tau:g} lies past the cap {beta_cap:g}")
     lo, hi = diag.bracket
     return tau / span, SolveDiagnostics(diag.evaluations, diag.seed / span,
                                         (lo / span, hi / span), diag.residual * span), ev
@@ -182,7 +178,8 @@ def solve_beta(p: Problem, beta_cap: float = math.inf) -> float:
     f_min)``.
 
     The solve starts from the saddle-point seed; with a finite ``beta_cap``
-    it raises :class:`Diverged` past ``|beta| (f_max - f_min) = beta_cap``."""
+    it raises :class:`Diverged` when the solved tilt ``|beta| (f_max - f_min)``
+    exceeds it."""
     return solve_beta_detailed(p, beta_cap)[0]
 
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from momentbayes import oracle
 from momentbayes.cli import main
 
 from conftest import (
@@ -122,6 +123,21 @@ class TestUpdate:
         )
         assert run(["update", "--spec", str(bad)]) == 2
         assert "weights" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("counts", [math.inf, 2, 7]),
+        ("labels", [1, 2, 10**400]),
+        ("pseudo_counts", [1, 1, 10**400]),
+        ("moment_target", 10**400),
+    ])
+    def test_overflowing_number_is_bad_spec(self, tmp_path, capsys, field, value):
+        obj = {"labels": list(DEMO_LABELS), "counts": list(DEMO_COUNTS), "moment_target": 2.3,
+               field: value}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))  # Infinity, or an integer past the float range
+        assert run(["update", "--spec", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "BadSpec"
 
 
 class TestSweep:
@@ -250,6 +266,13 @@ class TestOracleCommand:
                     "--beta", "1.0"]) == 4
         assert json.loads(capsys.readouterr().err)["error"] == "DimensionTooHigh"
 
+    def test_evaluation_budget_exit_code(self, spec_file, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "_QUADRATURE_EVALS", 1000)
+        assert run(["oracle", "--spec", spec_file, "--method", "quadrature",
+                    "--beta", "1.0"]) == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "ToleranceNotMet"
+
     def test_underflowing_integrand_exit_code(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "s.json", labels=(0, 1), counts=(800, 800),
                           target=0.5)
@@ -288,9 +311,12 @@ class TestStrictReports:
 
     def test_cap_is_reported(self, spec_file, capsys):
         assert run(["update", "--spec", spec_file, "--beta-cap", "1e6"]) == 0
-        solver_report = strict_json(capsys.readouterr().out)["solver"]
+        report = strict_json(capsys.readouterr().out)
+        solver_report = report["solver"]
         assert solver_report["beta_cap"] == 1e6
-        assert solver_report["bracket"][1] == 1e6 / 2.0
+        # The side never evaluated is null under a cap too.
+        assert solver_report["bracket"][0] <= report["beta"]
+        assert solver_report["bracket"][1] is None
 
     def test_near_edge_diverges_only_under_a_cap(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "s.json", target=2.99999)

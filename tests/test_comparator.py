@@ -96,6 +96,29 @@ class TestSolveTilt:
         tilted = solve_tilt((0.5, 0.5, 0.0), (1.0, 2.0, 3.0), 1.7)
         assert tilted.probabilities[2] == 0.0
 
+    @pytest.mark.parametrize("f, counts, F", [
+        ((-0.371604, -0.0804212, 0.0202733, 0.628396), (0, 59, 0, 1639228), 0.0),
+        ((0.0, 1.4822055615189692e-06, 1.5395402868893563e-06), (0, 13, 4710448),
+         1.5366974218921367e-06),
+        ((0.0, 0.2054159946067725, 0.7325404147764981, 0.8499537836004529), (0, 1, 71115, 689),
+         0.2385199845282295),
+        ((-11.03772238007739, -11.037675843394151, -11.037626332292817, -11.037519221620546),
+         (0, 1, 1, 6724849), -11.03753863315331),
+    ])
+    def test_largest_tilt_on_a_zero_frequency(self, f, counts, F):
+        # A label with no frequency holds the largest tilt on the way to the
+        # answer: shifted by it, every weight on the support underflowed, the
+        # moment was 0/0, and the solve ran out of evaluations.
+        nu = np.asarray(counts, dtype=float) / sum(counts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tilted = solve_tilt(nu, f, F)
+        d = (np.asarray(f) - F) / (max(f) - min(f))
+        assert abs(float(d @ np.asarray(tilted.probabilities))) <= TILT_TOL
+        assert all(p == 0.0 for p, c in zip(tilted.probabilities, counts) if c == 0)
+        if F == 0.0:
+            assert tilted.eta == pytest.approx(-17.3361, rel=1e-5)
+
     def test_target_outside_labels(self):
         with pytest.raises(MomentOutOfRange):
             solve_tilt(DEMO_FREQS, DEMO_LABELS, 3.2)

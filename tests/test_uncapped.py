@@ -1,6 +1,6 @@
 """The multiplier solve has no cap unless the caller sets one: well-posed
 problems arbitrarily close to the edge of the label range solve, and a cap the
-caller sets is decided by one probe there."""
+caller sets is a check on the solved tilt."""
 
 import math
 
@@ -47,28 +47,36 @@ class TestSolveIncreasing:
         def newton(x):
             xs.append(x)
             g = math.tanh(x - 50.0)
-            return g, 1.0 - g * g, None
+            return g - 0.5, 1.0 - g * g, None
         return newton
 
     def test_flat_tail_without_cap(self):
         xs = []
-        x, diag, _ = solve_increasing(self.tanh_from_flat_tail(xs), 0.5, guess=0.0)
+        x, diag, _ = solve_increasing(self.tanh_from_flat_tail(xs), guess=0.0)
         assert x == pytest.approx(50.0 + math.atanh(0.5), abs=1e-12)
         assert all(math.isfinite(v) for v in xs)
         assert diag.evaluations == len(xs) <= 30
 
-    def test_flat_tail_under_a_cap(self):
-        xs = []
+    def test_flat_tail_under_a_cap(self, tilts):
+        # The demo at F = 2.99999 lies on the moment's flat tail, at a tilt of
+        # about 3.0e6: a cap just above it changes nothing, one just below
+        # refuses the same solve.
+        p = make_problem(DEMO_LABELS, DEMO_COUNTS, 2.99999)
+        beta, diag, _ = solve_beta_detailed(p)
+        tau = beta * 2.0
+        assert tau == pytest.approx(3.0e6, rel=1e-2)
+        assert solve_beta_detailed(p, beta_cap=tau * (1.0 + 1e-9))[:2] == (beta, diag)
+        tilts.clear()
         with pytest.raises(Diverged):
-            solve_increasing(self.tanh_from_flat_tail(xs), 0.5, guess=0.0, cap=10.0)
-        assert xs == [0.0, 10.0]
+            solve_beta_detailed(p, beta_cap=tau * (1.0 - 1e-9))
+        assert len(tilts) == diag.evaluations
 
     def test_unevaluated_side_is_infinite(self, demo):
-        # The demo's solve approaches its answer from below only.
-        beta, diag, _ = solve_beta_detailed(demo)
-        assert diag.bracket[0] <= beta and diag.bracket[1] == math.inf
-        _, diag, _ = solve_beta_detailed(demo, beta_cap=1e6)
-        assert diag.bracket[1] == 1e6 / 2.0
+        # The demo's solve approaches its answer from below only, under a
+        # cap or not.
+        for cap in (math.inf, 1e6):
+            beta, diag, _ = solve_beta_detailed(demo, beta_cap=cap)
+            assert diag.bracket[0] <= beta and diag.bracket[1] == math.inf
 
 
 def near_edge_problems(n, seed):
@@ -99,6 +107,16 @@ def test_near_edge_problems_solve(tilts):
         res = full_update(p)
         evaluations.append(res.diagnostics.evaluations)
         assert_solved(res, tilts, max_evals=12)
+        # A cap is a check on the solved tilt: just above it the result is
+        # the same to the bit, just below it the solve is refused.
+        labels = p.model.labels
+        tau = abs(res.beta) * (max(labels) - min(labels))
+        capped = full_update(p, beta_cap=tau * (1.0 + 1e-9))
+        assert (capped.beta, capped.log_zeta, capped.means, capped.diagnostics.evaluations,
+                capped.diagnostics.seed) == (res.beta, res.log_zeta, res.means,
+                                             res.diagnostics.evaluations, res.diagnostics.seed)
+        with pytest.raises(Diverged):
+            full_update(p, beta_cap=tau * (1.0 - 1e-9))
     # All but two take at most 7. Those two have an outcome with no count
     # and a pseudo-count below 0.05, whose moment switches between two modes
     # in a bend that Newton jumps across: 9 and 12 evaluations.
