@@ -64,12 +64,6 @@ def empirical_frequencies(data: CountData) -> np.ndarray:
     return np.asarray(data.counts, dtype=float) / data.n
 
 
-def _tilted_probs(nu: np.ndarray, f: np.ndarray, eta: float) -> np.ndarray:
-    z = np.where(nu > 0.0, eta * f, -np.inf)  # shift by the largest tilt on the support
-    w = nu * np.exp(z - z.max())
-    return w / w.sum()
-
-
 def solve_tilt(nu, f, F: float) -> TiltedEmpirical:
     """Solve the tilt ``eta`` so the tilted frequencies hit the moment target."""
     nu = np.asarray(nu, dtype=float)
@@ -81,8 +75,8 @@ def solve_tilt(nu, f, F: float) -> TiltedEmpirical:
     if not np.isfinite(f).all():
         raise ValueError(f"labels must be finite, got {f}")
     F = float(F)
-    support = f[nu > 0.0]
-    lo, hi = support.min(), support.max()
+    on = nu > 0.0
+    lo, hi = f[on].min(), f[on].max()
     freqs = tuple(float(x) for x in nu)
     if lo == hi == F:
         # All frequency sits on the target's label value: nothing to tilt.
@@ -94,14 +88,17 @@ def solve_tilt(nu, f, F: float) -> TiltedEmpirical:
                           f"nonzero frequency: the tilt cannot move zero frequencies")
 
     d, span = solver.unit_span(f, F)
+    d, nu_on = d[on], nu[on]  # zero frequencies stay zero
 
     def newton(t):
-        probs = _tilted_probs(nu, d, t)
-        g = float(np.dot(d, probs))
-        slope = float(np.dot(d * d, probs)) - g * g
-        return g, slope, probs
+        z = t * d
+        w = nu_on * np.exp(z - z.max())
+        p = w / w.sum()
+        return p, float(p @ (d - p @ d) ** 2), p
 
-    t, _, probs = solver.solve_increasing(newton, guess=0.0)
+    t, _, p = solver.solve_increasing(newton, d, guess=0.0)
+    probs = np.zeros_like(nu)
+    probs[on] = p
     return TiltedEmpirical(freqs, t / span, tuple(float(x) for x in probs))
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import importlib
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,8 @@ def quadrature_zeta(p: Problem, beta: float,
     Integrates in the reduced coordinates (the last coordinate eliminated
     via ``1 - sum``), innermost dimension adapting first.  Deterministic;
     raises when the error estimate cannot be brought under ``rel_tol``, the
-    integrand underflows to zero, or the evaluation budget runs out.
+    integrand underflows to zero, or the evaluation budget runs out.  scipy's
+    warnings are recorded, not shown, and counted in that error.
     """
     integrate = _scipy("integrate")
     k = p.k
@@ -97,7 +99,7 @@ def quadrature_zeta(p: Problem, beta: float,
     def density(theta):
         evals[0] += 1
         if evals[0] > _QUADRATURE_EVALS:
-            raise ToleranceNotMet(f"no estimate within {_QUADRATURE_EVALS} integrand evaluations")
+            raise fail(f"no estimate within {_QUADRATURE_EVALS} integrand evaluations")
         total = -shift
         for ei, fi, ti in zip(e, f, theta):
             if ti <= 0.0:
@@ -122,17 +124,20 @@ def quadrature_zeta(p: Problem, beta: float,
         )
         return val
 
-    val, abserr = integrate.quad(
-        lambda x: nest([x], 1),
-        0.0, 1.0, epsabs=0.0, epsrel=eps[0], limit=500,
-    )
+    def fail(reason):
+        return ToleranceNotMet(f"{reason} ({len(caught)} scipy warnings)")
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        val, abserr = integrate.quad(
+            lambda x: nest([x], 1),
+            0.0, 1.0, epsabs=0.0, epsrel=eps[0], limit=500,
+        )
     if not math.isfinite(val) or val <= 0.0:
-        raise ToleranceNotMet(f"integral {val!r} is not a finite positive number")
+        raise fail(f"integral {val!r} is not a finite positive number")
     est_rel = abserr / val + sum(eps[1:])
     if est_rel > rel_tol:
-        raise ToleranceNotMet(
-            f"estimated relative error {est_rel:.3g} exceeds {rel_tol:.3g}"
-        )
+        raise fail(f"estimated relative error {est_rel:.3g} exceeds {rel_tol:.3g}")
     return OracleEstimate(
         log_value=math.log(val) + shift,
         std_error=0.0,

@@ -6,7 +6,7 @@ The map ``beta -> E_beta[f . theta]`` is smooth and strictly increasing
 :func:`unit_span` labels ``(f - F) / (f_max - f_min)``, as is the comparator's
 tilt, by safeguarded Newton from the tilt at the saddle point; the multiplier
 there, ``tau = beta (f_max - f_min)``, is free of label shift and scale.  The
-solve stops on the residual tolerance :data:`TOL`, stated on that problem too;
+solve stops when its logit residual is within :data:`TOL`, on that problem too;
 a ``beta_cap`` the caller sets is a check on the solved ``tau``.  Each Newton
 step is one contour evaluation, and the solver keeps the one at its answer:
 :func:`full_update` assembles the posterior from it without evaluating again.
@@ -23,14 +23,14 @@ from . import normalization
 from .errors import DegenerateLabels, Diverged, NoConvergence
 from .model import Problem, bayes_posterior_mean
 
-TOL = 1e-12  # on the unit-span moment ((f - F) / span) . means
+TOL = 1e-12  # on the logit residual, so also on the unit-span moment ((f - F) / span) . means
 MAX_EVALS = 200
 
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
     """Evaluations, starting multiplier, the tightest bracket evaluated (an
-    unevaluated side is infinite) and the residual."""
+    unevaluated side is infinite) and the logit residual ``|psi|`` there."""
 
     evaluations: int
     seed: float
@@ -58,43 +58,43 @@ class SweepPoint:
     converged: bool
 
 
-def solve_increasing(newton, *, guess):
-    """Root of a smooth strictly increasing ``g``, its diagnostics, and what
-    ``newton`` returned there.
+def solve_increasing(newton, d, *, guess):
+    """Root of the strictly increasing moment ``g(x) = p(x) . d``, its
+    diagnostics, and what ``newton`` returned there.
 
-    ``newton(x)`` returns ``(g(x), slope, kept)``.  Safeguarded Newton from
-    ``guess``: every evaluation narrows the bracket, whose sides stand at
-    ``-inf`` and ``inf`` until evaluated.  A step that leaves the bracket, or
-    that cycles back to the side of two evaluations ago without halving the
-    residual there, bisects it, which is infinite toward an open side; once a
-    step is not finite (a flat tail) none goes further from the seed than
-    twice the last iterate's distance plus ``|seed| + 1``.
-    :class:`NoConvergence` when the evaluation budget runs out.  Identical
-    inputs take identical paths.
+    ``newton(x)`` returns ``(p, g'(x), kept)``, with weights ``p`` summing to
+    1 on labels ``d`` around 0 that span at most 1.  Newton steps on the
+    residual ``psi = ln A - ln B - ln(-d_min / d_max)``, ``A = p . (d - d_min)``
+    and ``B = p . (d_max - d)``: sums of nonnegative terms, so nothing cancels
+    near an edge.  ``psi`` vanishes with ``g``, ``|psi| >= 4 |g|`` to first
+    order, ``psi' = g' (1/A + 1/B)``, and ``psi = -inf`` or ``inf`` where
+    ``A`` or ``B`` underflows.  Every evaluation narrows the bracket, whose
+    sides stand at ``-inf`` and ``inf`` until evaluated.  A step that leaves
+    it bisects it, which is infinite toward an open side; once a step is not
+    finite none goes further from ``guess`` than twice the last iterate's
+    distance plus ``|guess| + 1``.  :class:`NoConvergence` when the
+    evaluation budget runs out.  Identical inputs take identical paths.
     """
-    # Terminate slightly inside the tolerance so that the residual re-measured
-    # from the means, which rounds differently from the moment, still meets it.
-    stop = 0.5 * TOL
+    lo_d, hi_d = float(d.min()), float(d.max())
+    edges = np.stack([d - lo_d, hi_d - d], axis=1)
+    offset = math.log(-lo_d / hi_d)
     seed = x = float(guess)
     lo, hi = -math.inf, math.inf
     flat = False  # a step was infinite: from then on open-side steps only double
-    two_back = one_back = (None, math.inf)  # (below the root, residual) of the last evaluations
     best = None  # (residual, x, kept) among in-tolerance iterates
     polish_left = 4
     for evals in range(1, MAX_EVALS + 1):
-        g, slope, kept = newton(x)
-        below = g < 0.0
-        if below:
-            lo = x
-        else:
-            hi = x
-        resid = abs(g)
-        # Newton jumping to and fro over the root: g bends (a moment switching modes).
-        cycling = two_back[0] == below != one_back[0] and resid > max(stop, 0.5 * two_back[1])
-        two_back, one_back = one_back, (below, resid)
+        p, slope, kept = newton(x)
+        A, B = (p @ edges).tolist()
+        if A > 0.0 < B:
+            psi, slope = math.log(A) - math.log(B) - offset, slope * (1.0 / A + 1.0 / B)
+        else:  # an edge underflowed
+            psi = math.copysign(math.inf, A - B)
+        lo, hi = (x, hi) if psi < 0.0 else (lo, x)
+        resid = abs(psi)
         newton_ok = slope > 0.0 and math.isfinite(slope)
-        step = -g / slope if newton_ok else math.copysign(math.inf, -g)
-        if resid <= stop:
+        step = -psi / slope if newton_ok else math.copysign(math.inf, -psi)
+        if resid <= TOL:
             if best is None or resid < best[0]:
                 best = (resid, x, kept)
             # The residual criterion alone leaves x sloppy by resid/slope
@@ -103,7 +103,7 @@ def solve_increasing(newton, *, guess):
             if not newton_ok or abs(step) <= 1e-12 * max(1.0, abs(x)) or polish_left == 0:
                 return best[1], SolveDiagnostics(evals, seed, (lo, hi), best[0]), best[2]
             polish_left -= 1
-        last, x = x, 0.5 * (lo + hi) if cycling else x + step
+        last, x = x, x + step
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
         flat = flat or math.isinf(x)
@@ -163,14 +163,14 @@ def solve_beta_detailed(p: Problem, beta_cap: float = math.inf
 
     def newton(t):
         ev = normalization.moment_and_slope(d, a, log_gamma, t)
-        return ev.moment, ev.slope, ev
+        return ev.means, ev.slope, ev
 
-    tau, diag, ev = solve_increasing(newton, guess=_seed(d, a))
+    tau, diag, ev = solve_increasing(newton, d, guess=_seed(d, a))
     if abs(tau) > beta_cap:
         raise Diverged(f"the tilt {tau:g} lies past the cap {beta_cap:g}")
     lo, hi = diag.bracket
     return tau / span, SolveDiagnostics(diag.evaluations, diag.seed / span,
-                                        (lo / span, hi / span), diag.residual * span), ev
+                                        (lo / span, hi / span), diag.residual), ev
 
 
 def solve_beta(p: Problem, beta_cap: float = math.inf) -> float:
@@ -191,7 +191,9 @@ def full_update(p: Problem, beta_cap: float = math.inf) -> MEPosterior:
     distribution on the simplex), so the minimal update is ``beta = 0``.
     """
     f = p.arrays[0]
-    if p.model.degenerate:
+    try:
+        beta, diag, ev = solve_beta_detailed(p, beta_cap)  # checks the cap first
+    except DegenerateLabels:
         means = bayes_posterior_mean(p)
         return MEPosterior(
             problem=p,
@@ -202,7 +204,6 @@ def full_update(p: Problem, beta_cap: float = math.inf) -> MEPosterior:
             residual=abs(float(np.dot(f, means)) - p.moment_target),
             diagnostics=SolveDiagnostics(0, 0.0, (0.0, 0.0), 0.0),
         )
-    beta, diag, ev = solve_beta_detailed(p, beta_cap)
     span = float(f.max() - f.min())
     means = ev.means
     residual = abs(float((f - p.moment_target) @ means))

@@ -318,6 +318,15 @@ class TestStrictReports:
         assert solver_report["bracket"][0] <= report["beta"]
         assert solver_report["bracket"][1] is None
 
+    @pytest.mark.parametrize("labels", [(2, 2, 2), DEMO_LABELS])
+    @pytest.mark.parametrize("command", ["update", "compare"])
+    def test_nonpositive_cap_rejected(self, tmp_path, capsys, command, labels):
+        # Equal labels need no solve, but the cap is checked all the same.
+        spec = write_spec(tmp_path / "s.json", labels=labels, target=2.0)
+        assert run([command, "--spec", spec, "--beta-cap", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "InvalidArgument"
+
     def test_near_edge_diverges_only_under_a_cap(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "s.json", target=2.99999)
         assert run(["update", "--spec", spec, "--beta-cap", "1e6"]) == 3

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -231,3 +232,60 @@ def test_compare_across_label_scale_and_offset(demo, lam, spans):
     np.testing.assert_allclose(rep.me.means, ref.me.means, rtol=0, atol=1e-9)
     np.testing.assert_allclose(rep.tilted.probabilities, ref.tilted.probabilities,
                                rtol=0, atol=1e-9)
+
+
+def tilt_reference(counts, f, F):
+    """The tilt ``eta`` with ``sum_i m_i (f_i - F) e^{eta (f_i - F)} = 0`` in
+    60 digits, by bisection on the float inputs as given."""
+    with mp.workdps(60):
+        terms = [(mp.mpf(int(m)), mp.mpf(x) - mp.mpf(F)) for m, x in zip(counts, f) if m > 0]
+
+        def g(t):
+            return mp.fsum(m * d * mp.exp(t * d) for m, d in terms)
+
+        lo, hi = mp.mpf(-1), mp.mpf(1)
+        while g(lo) > 0:
+            lo *= 2
+        while g(hi) < 0:
+            hi *= 2
+        for _ in range(260):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if g(mid) < 0 else (lo, mid)
+        return float(lo)
+
+
+def near_edge_tilts(n, seed):
+    """Targets within 1e-14 to 0.4 of the span from an edge, labels over 12
+    orders of scale with offsets; targets that round onto an edge are left out."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        k = int(rng.integers(2, 8))
+        scale = math.exp(rng.uniform(math.log(1e-6), math.log(1e6)))
+        offset = scale * rng.uniform(-1e5, 1e5) if rng.uniform() < 0.5 else 0.0
+        x = np.sort(rng.uniform(0.0, 1.0, k))
+        x[0], x[-1] = 0.0, 1.0
+        counts = rng.integers(1, 1000, k)
+        gap = math.exp(rng.uniform(math.log(1e-14), math.log(0.4)))
+        u = 1.0 - gap if rng.uniform() < 0.5 else gap
+        f, F = offset + scale * x, offset + scale * u
+        if f[0] < F < f[-1]:
+            yield counts, f, F
+
+
+# Targets closer to an edge than the tolerance on the moment: any tilt past
+# the root met it there, and a solve stepping on the moment returned 13.3x,
+# 8.9x and 5.9x the tilt.
+OVERSHOOT_CASES = [
+    ((1, 474), (0.0, 0.002127284463514205), 3.5001029723358583e-16),
+    ((3, 951), (0.0, 0.001102872669957164), 9.139647072642115e-17),
+    ((4, 890, 635), (0.0, 230820.12194527345, 251686.76963137093), 5.375282988075364e-09),
+]
+
+
+def test_tilt_against_a_60_digit_root():
+    cases = OVERSHOOT_CASES + list(near_edge_tilts(150, 3))
+    assert len(cases) > 130
+    for counts, f, F in cases:
+        nu = np.asarray(counts, dtype=float) / sum(counts)
+        eta = solve_tilt(nu, f, F).eta
+        assert eta == pytest.approx(tilt_reference(counts, f, F), rel=1e-12, abs=0.0)

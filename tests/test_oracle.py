@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -175,3 +176,25 @@ class TestImport:
         assert out.stdout.split() == ["4", "0", "0"]
         assert json.loads(out.stderr.splitlines()[0])["error"] == "OracleUnavailable"
         assert json.loads(report.read_text())["beta"] == pytest.approx(DEMO_BETA, abs=5e-4)
+
+    def test_cli_quadrature_warnings_stay_off_stderr(self, tmp_path):
+        # Past 1e5 integrand evaluations scipy warns of roundoff on this
+        # problem; a budget of 1.2e5 runs out in about a second.  The warnings
+        # are counted in the error, which is the one line on stderr.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"labels": [0.1, 0.7, 0.9, 2.5], "counts": [0, 4, 9, 1],
+                                    "pseudo_counts": [0.5, 1, 2, 0.3], "moment_target": 1.9}))
+        code = (
+            "import sys\n"
+            "from momentbayes import oracle\n"
+            "from momentbayes.cli import main\n"
+            "oracle._QUADRATURE_EVALS = 120_000\n"
+            "print(main(['oracle', '--spec', sys.argv[1], '--method', 'quadrature',\n"
+            "            '--beta', '3']))\n"
+        )
+        out = fresh_python(code, str(spec))
+        assert out.stdout.split() == ["4"]
+        [line] = out.stderr.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "ToleranceNotMet"
+        assert int(re.search(r"\((\d+) scipy warnings\)$", err["message"])[1]) > 0

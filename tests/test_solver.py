@@ -6,6 +6,7 @@ import pytest
 
 from momentbayes import (
     bayes_posterior_mean,
+    compare,
     evaluate,
     full_update,
     make_problem,
@@ -202,6 +203,13 @@ class TestFullUpdate:
         np.testing.assert_allclose(res.means, bayes_posterior_mean(p), rtol=1e-14)
         assert all(type(x) is float for x in res.means)
         assert res.variance_of_f == 0.0
+
+    @pytest.mark.parametrize("labels", [(2, 2, 2), DEMO_LABELS])
+    @pytest.mark.parametrize("call", [full_update, compare])
+    def test_nonpositive_cap_rejected(self, labels, call):
+        # Equal labels need no solve, but the cap is checked all the same.
+        with pytest.raises(ValueError, match="cap must be positive"):
+            call(make_problem(labels, (3, 1, 2), 2.0), beta_cap=-1.0)
 
     def test_series_pass_budget(self, demo, monkeypatch):
         # One contour pass per solver evaluation; the means, ln Z and the

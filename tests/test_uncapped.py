@@ -43,19 +43,43 @@ def assert_solved(res, tilts, max_evals=MAX_EVALS):
 class TestSolveIncreasing:
     @staticmethod
     def tanh_from_flat_tail(xs):
-        # At the guess 0 the slope of tanh(x - 50) is 0.0 in floating point.
+        # A two-label tilt, p = ((1 - t)/2, (1 + t)/2) on d = (-0.75, 0.25)
+        # with t = tanh(x - 50): its moment (t - 0.5)/2 vanishes at t = 0.5.
+        # At the guess 0, t is -1.0 in floating point, so A underflows to 0.
         def newton(x):
             xs.append(x)
-            g = math.tanh(x - 50.0)
-            return g - 0.5, 1.0 - g * g, None
+            t = math.tanh(x - 50.0)
+            return np.array([(1.0 - t) / 2.0, (1.0 + t) / 2.0]), (1.0 - t * t) / 2.0, None
         return newton
 
     def test_flat_tail_without_cap(self):
         xs = []
-        x, diag, _ = solve_increasing(self.tanh_from_flat_tail(xs), guess=0.0)
+        x, diag, _ = solve_increasing(self.tanh_from_flat_tail(xs), np.array([-0.75, 0.25]),
+                                      guess=0.0)
         assert x == pytest.approx(50.0 + math.atanh(0.5), abs=1e-12)
         assert all(math.isfinite(v) for v in xs)
         assert diag.evaluations == len(xs) <= 30
+
+    @pytest.mark.parametrize("guess", [-800.0, 800.0])
+    def test_all_weight_on_an_edge(self, guess):
+        # Logistic weights on d = (-0.5, 0.5), for which psi = x.  At |x| =
+        # 800 the weight off the near edge underflows to 0, and psi is -inf
+        # below the root and inf above it.  The slope stays finite there, so
+        # it is psi that makes the step infinite: the reach rule puts the next
+        # iterate at seed + |seed| + 1 toward the root, and Newton lands on it.
+        xs = []
+
+        def newton(x):
+            xs.append(x)
+            e = math.exp(-abs(x))
+            far, near = e / (1.0 + e), 1.0 / (1.0 + e)
+            p = np.array([near, far] if x < 0.0 else [far, near])
+            return p, far * near or 1.0, None
+
+        x, diag, _ = solve_increasing(newton, np.array([-0.5, 0.5]), guess=guess)
+        assert xs[:2] == [guess, math.copysign(1.0, -guess)]
+        assert all(math.isfinite(v) for v in xs)
+        assert abs(x) <= 1e-15 and diag.residual <= TOL
 
     def test_flat_tail_under_a_cap(self, tilts):
         # The demo at F = 2.99999 lies on the moment's flat tail, at a tilt of
@@ -101,12 +125,12 @@ def near_edge_problems(n, seed):
 
 
 def test_near_edge_problems_solve(tilts):
-    evaluations = []
-    for p in near_edge_problems(200, 14):
+    problems = list(near_edge_problems(200, 14))
+    assert len(problems) == 192
+    for p in problems:
         tilts.clear()
         res = full_update(p)
-        evaluations.append(res.diagnostics.evaluations)
-        assert_solved(res, tilts, max_evals=12)
+        assert_solved(res, tilts, max_evals=7)
         # A cap is a check on the solved tilt: just above it the result is
         # the same to the bit, just below it the solve is refused.
         labels = p.model.labels
@@ -117,21 +141,17 @@ def test_near_edge_problems_solve(tilts):
                                              res.diagnostics.evaluations, res.diagnostics.seed)
         with pytest.raises(Diverged):
             full_update(p, beta_cap=tau * (1.0 - 1e-9))
-    # All but two take at most 7. Those two have an outcome with no count
-    # and a pseudo-count below 0.05, whose moment switches between two modes
-    # in a bend that Newton jumps across: 9 and 12 evaluations.
-    assert len(evaluations) == 192
-    assert sum(e > MAX_EVALS for e in evaluations) <= 2
 
 
 def test_newton_cycle_across_a_bend(tilts):
     # 126540 counts against none and a pseudo-count of 0.015: near tau =
-    # 1.27e5 the moment switches between two modes, and Newton jumped to and
-    # fro across the bend, inside the bracket, until its 200 evaluations ran out.
+    # 1.27e5 the moment switches between two modes, and Newton on the moment
+    # itself jumped to and fro across the bend until its evaluations ran out.
+    # The logit residual is straight enough there for Newton to converge.
     p = make_problem((0.2681653458130509, 0.26816919710002074), (126540, 0),
                      0.26816534773093276, (0.018218330743103826, 0.0146305365707073))
     res = full_update(p)
-    assert_solved(res, tilts, max_evals=12)
+    assert_solved(res, tilts, max_evals=7)
     assert res.beta * (p.model.labels[1] - p.model.labels[0]) == pytest.approx(1.272e5, rel=1e-3)
 
 
