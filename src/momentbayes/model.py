@@ -137,7 +137,8 @@ class Problem:
     def arrays(self) -> tuple[np.ndarray, np.ndarray, float]:
         """Labels ``f``, shapes ``a = m + alpha`` and ``sum_i ln Gamma(a_i)``,
         formed once per problem; the arrays are read-only."""
-        f, a = self.labels_array(), self.exponents() + 1.0
+        f = self.labels_array()
+        a = np.asarray(self.data.counts, dtype=float) + np.asarray(self.prior.pseudo_counts)
         f.flags.writeable = a.flags.writeable = False
         return f, a, sum(math.lgamma(x) for x in a.tolist())
 
@@ -208,7 +209,5 @@ def log_unnormalized_density(p: Problem, beta: float, theta: SimplexPoint) -> fl
 
 def bayes_posterior_mean(p: Problem) -> np.ndarray:
     """Posterior mean with no moment constraint: ``(m_i + alpha_i) / (n + sum alpha)``."""
-    a = np.asarray(p.data.counts, dtype=float) + np.asarray(
-        p.prior.pseudo_counts, dtype=float
-    )
+    a = p.arrays[1]
     return a / a.sum()

@@ -237,7 +237,7 @@ def series_levels(p: Problem, beta: float) -> list[SeriesParams]:
     and the ``a`` of the inner levels.
     """
     f = p.labels_array()
-    a = p.exponents() + 1.0
+    a = np.asarray(p.data.counts, dtype=float) + np.asarray(p.prior.pseudo_counts, dtype=float)
     piv = int(np.argmin(beta * f))
     d = float(a[piv])
     levels = []

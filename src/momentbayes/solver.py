@@ -21,7 +21,7 @@ import numpy as np
 
 from . import normalization
 from .errors import DegenerateLabels, Diverged, NoConvergence
-from .model import Problem, bayes_posterior_mean
+from .model import Problem
 
 TOL = 1e-12  # on the logit residual, so also on the unit-span moment ((f - F) / span) . means
 MAX_EVALS = 200
@@ -70,18 +70,17 @@ def solve_increasing(newton, d, *, guess):
     order, ``psi' = g' (1/A + 1/B)``, and ``psi = -inf`` or ``inf`` where
     ``A`` or ``B`` underflows.  Every evaluation narrows the bracket, whose
     sides stand at ``-inf`` and ``inf`` until evaluated.  A step that leaves
-    it bisects it, which is infinite toward an open side; once a step is not
-    finite none goes further from ``guess`` than twice the last iterate's
-    distance plus ``|guess| + 1``.  :class:`NoConvergence` when the
-    evaluation budget runs out.  Identical inputs take identical paths.
+    it bisects it, which is infinite toward an open side; an infinite step
+    goes instead twice the last iterate's distance from ``guess`` plus
+    ``|guess| + 1``.  The answer is the iterate whose evaluation met the stop
+    rule; :class:`NoConvergence` when the evaluation budget runs out first.
+    Identical inputs take identical paths.
     """
     lo_d, hi_d = float(d.min()), float(d.max())
     edges = np.stack([d - lo_d, hi_d - d], axis=1)
     offset = math.log(-lo_d / hi_d)
     seed = x = float(guess)
     lo, hi = -math.inf, math.inf
-    flat = False  # a step was infinite: from then on open-side steps only double
-    best = None  # (residual, x, kept) among in-tolerance iterates
     polish_left = 4
     for evals in range(1, MAX_EVALS + 1):
         p, slope, kept = newton(x)
@@ -95,23 +94,17 @@ def solve_increasing(newton, d, *, guess):
         newton_ok = slope > 0.0 and math.isfinite(slope)
         step = -psi / slope if newton_ok else math.copysign(math.inf, -psi)
         if resid <= TOL:
-            if best is None or resid < best[0]:
-                best = (resid, x, kept)
             # The residual criterion alone leaves x sloppy by resid/slope
             # when the slope is small; polish until the Newton step itself
             # is negligible (a step or two, by quadratic convergence).
             if not newton_ok or abs(step) <= 1e-12 * max(1.0, abs(x)) or polish_left == 0:
-                return best[1], SolveDiagnostics(evals, seed, (lo, hi), best[0]), best[2]
+                return x, SolveDiagnostics(evals, seed, (lo, hi), resid), kept
             polish_left -= 1
         last, x = x, x + step
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
-        flat = flat or math.isinf(x)
-        reach = 2.0 * abs(last - seed) + abs(seed) + 1.0
-        if flat and abs(x - seed) > reach:
-            x = seed + math.copysign(reach, x - seed)
-    if best is not None:
-        return best[1], SolveDiagnostics(MAX_EVALS, seed, (lo, hi), best[0]), best[2]
+        if math.isinf(x):
+            x = seed + math.copysign(2.0 * abs(last - seed) + abs(seed) + 1.0, x - seed)
     raise NoConvergence(f"no solution to residual {TOL} within {MAX_EVALS} evaluations")
 
 
@@ -188,33 +181,29 @@ def full_update(p: Problem, beta_cap: float = math.inf) -> MEPosterior:
     solver's evaluation at it.
 
     Degenerate labels make the constraint vacuous (it is satisfied by any
-    distribution on the simplex), so the minimal update is ``beta = 0``.
+    distribution on the simplex), so the minimal update is ``beta = 0``: the
+    conjugate posterior, with means ``a / sum(a)`` and ``ln Z = sum_i ln
+    Gamma(a_i) - ln Gamma(sum_i a_i)``.
     """
-    f = p.arrays[0]
+    f, a, log_gamma = p.arrays
+    span = float(f.max() - f.min())
     try:
         beta, diag, ev = solve_beta_detailed(p, beta_cap)  # checks the cap first
+        means, log_zeta = ev.means, ev.log_z + beta * p.moment_target
+        variance = ev.slope * span * span
     except DegenerateLabels:
-        means = bayes_posterior_mean(p)
-        return MEPosterior(
-            problem=p,
-            beta=0.0,
-            log_zeta=normalization.evaluate(p, 0.0).log_z,
-            means=tuple(float(x) for x in means),
-            variance_of_f=0.0,
-            residual=abs(float(np.dot(f, means)) - p.moment_target),
-            diagnostics=SolveDiagnostics(0, 0.0, (0.0, 0.0), 0.0),
-        )
-    span = float(f.max() - f.min())
-    means = ev.means
+        beta, diag = 0.0, SolveDiagnostics(0, 0.0, (0.0, 0.0), 0.0)
+        total = float(a.sum())
+        means, log_zeta, variance = a / total, log_gamma - math.lgamma(total), 0.0
     residual = abs(float((f - p.moment_target) @ means))
     if residual > TOL * span or abs(float(means.sum()) - 1.0) > 1e-10:
         raise NoConvergence(f"inconsistent solution: residual {residual}, mean sum {means.sum()}")
     return MEPosterior(
         problem=p,
         beta=beta,
-        log_zeta=ev.log_z + beta * p.moment_target,
+        log_zeta=log_zeta,
         means=tuple(float(x) for x in means),
-        variance_of_f=ev.slope * span * span,
+        variance_of_f=variance,
         residual=residual,
         diagnostics=diag,
     )

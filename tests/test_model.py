@@ -76,6 +76,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             OutcomeModel((1.0, math.inf))
 
+    def test_nan_target_rejected(self):
+        with pytest.raises(MomentOutOfRange):
+            make_problem(DEMO_LABELS, DEMO_COUNTS, math.nan)
+
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-8, 1e-5, 0.2005])
+    def test_shapes_are_counts_plus_pseudo_counts(self, alpha):
+        # Formed as m + alpha, not as (m + alpha - 1) + 1, which rounds a
+        # tiny alpha with no count to a multiple of 2**-53.
+        counts, pseudo = (0, 0, 0), (alpha, 1.0, alpha)
+        p = make_problem((1, 2, 3), counts, 2.3, pseudo_counts=pseudo)
+        assert p.arrays[1].tolist() == [m + a for m, a in zip(counts, pseudo)]
+
 
 class TestSimplexPoint:
     def test_accepts_tolerant_sum(self):

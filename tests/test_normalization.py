@@ -127,6 +127,8 @@ class TestSeriesLevels:
 
 
 class TestLogZeta:
+    """``evaluate(p, beta).log_z``, and its refusal of a non-finite ``beta``."""
+
     def test_zero_multiplier_closed_form(self, demo):
         # Plain conjugate integral: 11! 2! 7! / 22!
         expected = (
@@ -237,11 +239,15 @@ class TestLogZeta:
             )
         assert lz.log_z == pytest.approx(float(ref), abs=1e-8)
 
-    def test_integer_nonflat_prior_stays_on_series(self, demo):
+    def test_integer_nonflat_prior_matches_quadrature(self, demo):
         p = make_problem(DEMO_LABELS, DEMO_COUNTS, 2.3, pseudo_counts=(2, 1, 3))
         lz = evaluate(p, 4.0)
         quad = quadrature_zeta(p, 4.0).log_value
         assert abs(lz.log_z - quad) <= 1e-8
+
+    def test_nonfinite_multiplier_rejected(self, demo):
+        with pytest.raises(ValueError):
+            evaluate(demo, math.nan)
 
     def test_huge_multiplier_matches_kummer(self, demo):
         # beta * span = 7e5: the saddle sits next to the top label's branch
@@ -383,6 +389,8 @@ class TestContour:
 
 
 class TestPosteriorMean:
+    """``evaluate(p, beta).means``."""
+
     def test_zero_multiplier_is_bayes(self, demo):
         np.testing.assert_allclose(evaluate(demo, 0.0).means, DEMO_BAYES, atol=1e-13)
 
@@ -407,6 +415,8 @@ class TestPosteriorMean:
 
 
 class TestMomentOfF:
+    """``evaluate(p, beta).moment``."""
+
     def test_zero_multiplier(self, demo):
         assert evaluate(demo, 0.0).moment == pytest.approx(DEMO_BAYES_MOMENT, abs=1e-13)
 
@@ -432,6 +442,8 @@ class TestMomentOfF:
 
 
 class TestVarianceOfF:
+    """``evaluate(p, beta).slope``, the variance of ``f . theta``."""
+
     def test_degenerate_labels_zero(self):
         p = make_problem((2, 2, 2), (1, 1, 1), 2.0)
         assert evaluate(p, 0.0).slope == 0.0
@@ -483,7 +495,7 @@ def quadrature_variance(p, beta):
 class TestMomentAndSlopeConsistency:
     def test_matches_ratio_identities(self):
         # The slope is checked against quadrature, which shares no code
-        # with the series; k <= 3 keeps the (k+1)(k+2)/2 integrals cheap.
+        # with the contour; k <= 3 keeps the (k+1)(k+2)/2 integrals cheap.
         rng = np.random.default_rng(21)
         for _ in range(15):
             p = random_problem(rng, k=int(rng.integers(2, 4)))

@@ -16,7 +16,8 @@ from momentbayes import (
     solve_beta_detailed,
     sweep,
 )
-from momentbayes.errors import DegenerateLabels, Diverged
+from momentbayes.errors import DegenerateLabels, Diverged, NoConvergence
+from momentbayes.solver import MAX_EVALS, solve_increasing
 from momentbayes.solver import TOL as UNIT_TOL
 
 from conftest import (
@@ -176,6 +177,21 @@ class TestSolveBeta:
         assert diag.evaluations == len(evaluations) <= 5
         assert abs(evaluate(p, beta).moment - target) <= TOL
 
+    def test_budget_runs_out(self):
+        # The weights jump from one edge to the other at x = 0.3, so the
+        # residual is infinite at every iterate and the bisection closes in
+        # on the jump until the budget is spent.
+        calls = []
+
+        def newton(x):
+            calls.append(x)
+            p = np.array([1.0, 0.0]) if x < 0.3 else np.array([0.0, 1.0])
+            return p, 0.0, None
+
+        with pytest.raises(NoConvergence):
+            solve_increasing(newton, np.array([-0.5, 0.5]), guess=0.0)
+        assert len(calls) == MAX_EVALS
+
     def test_divergence_decided_at_the_cap(self, evaluations):
         # The tilt here is about 3.0e6: past the cap the caller set.
         with pytest.raises(Diverged):
@@ -204,6 +220,31 @@ class TestFullUpdate:
         assert all(type(x) is float for x in res.means)
         assert res.variance_of_f == 0.0
 
+    def test_equal_labels_with_tiny_shapes_are_conjugate(self):
+        # The vacuous constraint needs no contour pass: the closed form is
+        # exact where the contour sum would not converge.
+        p = make_problem((2, 2, 2), (0, 0, 0), 2.0, pseudo_counts=(1e-5,) * 3)
+        res = full_update(p)
+        assert res.beta == 0.0
+        assert res.residual == 0.0
+        a = [1e-5] * 3
+        log_z = sum(math.lgamma(x) for x in a) - math.lgamma(sum(a))
+        assert res.log_zeta == pytest.approx(log_z, rel=1e-14)
+        assert res.means == (1.0 / 3.0,) * 3
+
+    def test_inconsistent_means_are_refused(self, monkeypatch):
+        # Scaling the means leaves the logit residual as it was, so the
+        # solve converges and the mean-sum gate is what refuses the answer.
+        inner = normalization.moment_and_slope
+
+        def scaled(*args):
+            ev = inner(*args)
+            return ev._replace(means=ev.means * (1.0 + 1e-9))
+
+        monkeypatch.setattr(normalization, "moment_and_slope", scaled)
+        with pytest.raises(NoConvergence, match="inconsistent solution"):
+            full_update(make_problem(DEMO_LABELS, DEMO_COUNTS, DEMO_TARGET))
+
     @pytest.mark.parametrize("labels", [(2, 2, 2), DEMO_LABELS])
     @pytest.mark.parametrize("call", [full_update, compare])
     def test_nonpositive_cap_rejected(self, labels, call):
@@ -211,7 +252,7 @@ class TestFullUpdate:
         with pytest.raises(ValueError, match="cap must be positive"):
             call(make_problem(labels, (3, 1, 2), 2.0), beta_cap=-1.0)
 
-    def test_series_pass_budget(self, demo, monkeypatch):
+    def test_one_contour_pass_per_evaluation(self, demo, monkeypatch):
         # One contour pass per solver evaluation; the means, ln Z and the
         # variance come from the one at the answer.
         calls = []
@@ -292,7 +333,7 @@ class TestSweep:
         assert len(betas) == 25
         assert all(b2 > b1 for b1, b2 in zip(betas, betas[1:]))
 
-    def test_warm_start_agrees_with_cold_solves(self, demo):
+    def test_each_point_equals_a_cold_solve(self, demo):
         # Every point starts from its own seed, so it is a cold solve.
         points = sweep(demo, 2.0, 2.8, 9)
         for pt in points:
@@ -316,6 +357,10 @@ class TestSweep:
         fs = [pt.F for pt in points]
         assert fs == sorted(fs)
         assert fs[0] == 2.0 and fs[-1] == 2.5
+
+    def test_equal_labels_rejected(self):
+        with pytest.raises(DegenerateLabels):
+            sweep(make_problem((2, 2, 2), (1, 1, 1), 2.0), 1.5, 2.5, 3)
 
     def test_range_validation(self, demo):
         with pytest.raises(ValueError):
