@@ -25,7 +25,6 @@ from .model import (
     bayes_posterior_mean,
     log_unnormalized_density,
     make_problem,
-    validate_problem,
 )
 from .normalization import Evaluation, evaluate
 from .oracle import (
@@ -74,5 +73,4 @@ __all__ = [
     "solve_beta_detailed",
     "solve_tilt",
     "sweep",
-    "validate_problem",
 ]

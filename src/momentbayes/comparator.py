@@ -106,7 +106,7 @@ def compare(p: Problem, beta_cap: float = math.inf) -> ComparisonReport:
     """Full posterior update next to the tilted-frequency solution."""
     nu = empirical_frequencies(p.data)
     me = solver.full_update(p, beta_cap)
-    tilted = solve_tilt(nu, p.labels_array(), p.moment_target)
+    tilted = solve_tilt(nu, p.arrays[0], p.moment_target)
     diff = np.asarray(me.means) - np.asarray(tilted.probabilities)
     annotation = None
     if np.any(nu == 0.0) or p.data.n < FINITE_SAMPLE_N:

@@ -124,20 +124,11 @@ class Problem:
     def k(self) -> int:
         return self.model.k
 
-    def labels_array(self) -> np.ndarray:
-        return np.asarray(self.model.labels, dtype=float)
-
-    def exponents(self) -> np.ndarray:
-        """Density exponents ``m_i + alpha_i - 1`` of each ``theta_i``."""
-        m = np.asarray(self.data.counts, dtype=float)
-        a = np.asarray(self.prior.pseudo_counts, dtype=float)
-        return m + a - 1.0
-
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, float]:
         """Labels ``f``, shapes ``a = m + alpha`` and ``sum_i ln Gamma(a_i)``,
         formed once per problem; the arrays are read-only."""
-        f = self.labels_array()
+        f = np.asarray(self.model.labels, dtype=float)
         a = np.asarray(self.data.counts, dtype=float) + np.asarray(self.prior.pseudo_counts)
         f.flags.writeable = a.flags.writeable = False
         return f, a, sum(math.lgamma(x) for x in a.tolist())
@@ -158,22 +149,11 @@ class SimplexPoint:
         object.__setattr__(self, "theta", th)
 
 
-def validate_problem(model, data, prior, moment_target) -> Problem:
-    """Assemble and validate a :class:`Problem` from its components."""
-    if not isinstance(model, OutcomeModel):
-        model = OutcomeModel(model)
-    if not isinstance(data, CountData):
-        data = CountData(data)
-    if not isinstance(prior, PriorSpec):
-        prior = PriorSpec(prior)
-    return Problem(model, data, prior, float(moment_target))
-
-
 def make_problem(labels, counts, moment_target, pseudo_counts=None) -> Problem:
     """Convenience constructor; ``pseudo_counts`` defaults to the flat prior."""
     model = OutcomeModel(labels)
     prior = PriorSpec.flat(model.k) if pseudo_counts is None else PriorSpec(pseudo_counts)
-    return validate_problem(model, CountData(counts), prior, moment_target)
+    return Problem(model, CountData(counts), prior, float(moment_target))
 
 
 def log_unnormalized_density(p: Problem, beta: float, theta: SimplexPoint) -> float:
@@ -186,7 +166,7 @@ def log_unnormalized_density(p: Problem, beta: float, theta: SimplexPoint) -> fl
     """
     if not isinstance(theta, SimplexPoint):
         theta = SimplexPoint(theta)
-    e = p.exponents()
+    e = (p.arrays[1] - 1.0).tolist()
     f = p.model.labels
     if len(theta.theta) != p.k:
         raise LengthMismatch(f"theta has length {len(theta.theta)}, expected {p.k}")

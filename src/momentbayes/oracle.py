@@ -88,8 +88,8 @@ def quadrature_zeta(p: Problem, beta: float,
         )
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta!r}")
-    e = p.exponents()
-    f = p.labels_array()
+    f = np.asarray(p.model.labels, dtype=float)
+    e = np.asarray(p.data.counts, dtype=float) + np.asarray(p.prior.pseudo_counts) - 1.0
     shift = float(np.max(beta * f))
     evals = [0]
     # Request more than asked so QUADPACK's own (conservative) error
@@ -160,10 +160,8 @@ def montecarlo_moments(p: Problem, beta: float, samples: int,
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta!r}")
-    f = p.labels_array()
-    al = np.asarray(p.data.counts, dtype=float) + np.asarray(
-        p.prior.pseudo_counts, dtype=float
-    )
+    f = np.asarray(p.model.labels, dtype=float)
+    al = np.asarray(p.data.counts, dtype=float) + np.asarray(p.prior.pseudo_counts, dtype=float)
     c = float(np.max(beta * f))
     rng = np.random.default_rng(seed)
     k = p.k
@@ -236,7 +234,7 @@ def series_levels(p: Problem, beta: float) -> list[SeriesParams]:
     ``t_j = beta * (f_j - f_piv) >= 0``; ``b_j - a_j`` accumulates ``a_piv``
     and the ``a`` of the inner levels.
     """
-    f = p.labels_array()
+    f = np.asarray(p.model.labels, dtype=float)
     a = np.asarray(p.data.counts, dtype=float) + np.asarray(p.prior.pseudo_counts, dtype=float)
     piv = int(np.argmin(beta * f))
     d = float(a[piv])
@@ -266,7 +264,7 @@ def series_zeta(p: Problem, beta: float) -> tuple[float, float, float]:
     if not math.isfinite(beta) or beta == 0.0:
         raise ValueError(f"beta must be finite and nonzero, got {beta!r}")
     gammaln = _scipy("special").gammaln
-    f = p.labels_array()
+    f = np.asarray(p.model.labels, dtype=float)
     f_piv = float(f[int(np.argmin(beta * f))])
     levels = series_levels(p, beta)
     caps = [int(math.ceil(lv.t + 14.0 * math.sqrt(lv.t + 8.0) + 60.0)) if lv.t > 0.0 else 0

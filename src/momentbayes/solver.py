@@ -144,9 +144,8 @@ def _seed(d: np.ndarray, a: np.ndarray) -> float:
 def solve_beta_detailed(p: Problem, beta_cap: float = math.inf
                         ) -> tuple[float, SolveDiagnostics, normalization.Evaluation]:
     """As :func:`solve_beta`, also returning seed/bracket/iteration diagnostics
-    and the evaluation at the answer on the unit-span problem: its ``ln Z`` is
-    ``ln Z - beta F``, its moment and slope are those of ``(f - F) / span`` in
-    the tilt ``beta span``, and its means are the posterior means."""
+    and the evaluation at the answer, in the problem's units: what
+    ``normalization.evaluate(p, beta)`` describes."""
     if not (beta_cap > 0.0):
         raise ValueError(f"cap must be positive, got {beta_cap}")
     if p.model.degenerate:
@@ -161,9 +160,13 @@ def solve_beta_detailed(p: Problem, beta_cap: float = math.inf
     tau, diag, ev = solve_increasing(newton, d, guess=_seed(d, a))
     if abs(tau) > beta_cap:
         raise Diverged(f"the tilt {tau:g} lies past the cap {beta_cap:g}")
-    lo, hi = diag.bracket
-    return tau / span, SolveDiagnostics(diag.evaluations, diag.seed / span,
-                                        (lo / span, hi / span), diag.residual), ev
+    beta, (lo, hi) = tau / span, diag.bracket
+    # From the labels (f - F) / span at the tilt tau back to f at beta.
+    F = p.moment_target
+    ev = ev._replace(log_z=ev.log_z + beta * F, moment=F + span * ev.moment,
+                     slope=ev.slope * span * span)
+    return beta, SolveDiagnostics(diag.evaluations, diag.seed / span,
+                                  (lo / span, hi / span), diag.residual), ev
 
 
 def solve_beta(p: Problem, beta_cap: float = math.inf) -> float:
@@ -189,8 +192,7 @@ def full_update(p: Problem, beta_cap: float = math.inf) -> MEPosterior:
     span = float(f.max() - f.min())
     try:
         beta, diag, ev = solve_beta_detailed(p, beta_cap)  # checks the cap first
-        means, log_zeta = ev.means, ev.log_z + beta * p.moment_target
-        variance = ev.slope * span * span
+        means, log_zeta, variance = ev.means, ev.log_z, ev.slope
     except DegenerateLabels:
         beta, diag = 0.0, SolveDiagnostics(0, 0.0, (0.0, 0.0), 0.0)
         total = float(a.sum())

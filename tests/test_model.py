@@ -7,11 +7,11 @@ from momentbayes import (
     CountData,
     OutcomeModel,
     PriorSpec,
+    Problem,
     SimplexPoint,
     bayes_posterior_mean,
     log_unnormalized_density,
     make_problem,
-    validate_problem,
 )
 from momentbayes.errors import (
     DegenerateLabels,
@@ -26,7 +26,7 @@ from conftest import DEMO_BAYES, DEMO_BAYES_MOMENT, DEMO_COUNTS, DEMO_LABELS, ra
 
 class TestValidation:
     def test_demo_problem_is_valid(self):
-        p = validate_problem(
+        p = Problem(
             OutcomeModel(DEMO_LABELS), CountData(DEMO_COUNTS), PriorSpec((1, 1, 1)), 2.3
         )
         assert p.k == 3
@@ -178,7 +178,7 @@ class TestBayesPosteriorMean:
         np.testing.assert_allclose(bayes_posterior_mean(p), [1 / 3] * 3, rtol=1e-15)
 
     def test_moment_of_bayes_mean(self, demo):
-        f = demo.labels_array()
+        f = np.asarray(demo.model.labels)
         assert float(f @ bayes_posterior_mean(demo)) == pytest.approx(
             DEMO_BAYES_MOMENT, rel=1e-14
         )

@@ -13,6 +13,7 @@ from scipy.special import gammaln
 
 import momentbayes
 from momentbayes import (
+    Problem,
     bayes_posterior_mean,
     evaluate,
     make_problem,
@@ -20,6 +21,7 @@ from momentbayes import (
     quadrature_zeta,
 )
 from momentbayes.errors import DimensionTooHigh, ToleranceNotMet
+from momentbayes.oracle import series_zeta
 
 from conftest import DEMO_BETA, DEMO_COUNTS, DEMO_LABELS, DEMO_MEANS, random_problem
 
@@ -138,6 +140,23 @@ class TestCrossAgreement:
             mm = montecarlo_moments(p, beta, 10**5, seed=int(rng.integers(1 << 30)))
             se = max(mm.estimate.std_error, 1e-12)
             assert abs(q.log_value - mm.estimate.log_value) <= 3.5 * se
+
+    def test_oracles_read_no_engine_arrays(self, demo, monkeypatch):
+        # The oracles form labels and shapes from the problem's own fields,
+        # so they share no derived numbers with the production path.
+        def run():
+            return (quadrature_zeta(demo, 1.0), montecarlo_moments(demo, 1.0, 10**4, seed=3),
+                    series_zeta(demo, 1.0))
+
+        expected = run()
+
+        def refuse(self):
+            raise AssertionError("Problem.arrays was read")
+
+        monkeypatch.setattr(Problem, "arrays", property(refuse))
+        with pytest.raises(AssertionError, match="Problem.arrays"):
+            evaluate(demo, 1.0)
+        assert run() == expected
 
 
 def fresh_python(code, *args):

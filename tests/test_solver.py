@@ -209,7 +209,7 @@ class TestFullUpdate:
         assert abs(sum(res.means) - 1.0) <= 1e-10
         assert res.variance_of_f > 0.0
         assert all(type(x) is float for x in res.means)
-        f = demo.labels_array()
+        f = np.asarray(demo.model.labels)
         assert float(f @ np.asarray(res.means)) == pytest.approx(2.3, abs=10 * TOL)
 
     def test_degenerate_constraint_is_minimal_update(self):
@@ -420,3 +420,17 @@ def test_public_evaluator_describes_the_solved_posterior():
         assert abs(ev.log_z - res.log_zeta) <= 1e-13 * max(1.0, abs(res.log_zeta))
         np.testing.assert_allclose(ev.means, res.means, rtol=0, atol=1e-14)
         assert ev.slope == pytest.approx(res.variance_of_f, rel=1e-13)
+
+
+def test_solver_evaluation_is_in_problem_units(demo):
+    # The evaluation solve_beta_detailed returns at its answer means what
+    # evaluate(p, beta) means there: ln Z, moment and slope in label units.
+    rng = np.random.default_rng(83)
+    for p in [demo] + [random_problem(rng) for _ in range(100)]:
+        beta, _, ev = solve_beta_detailed(p)
+        ref = evaluate(p, beta)
+        assert ev.log_z == pytest.approx(ref.log_z, rel=1e-12)
+        np.testing.assert_allclose(ev.means, ref.means, rtol=0, atol=1e-14)
+        assert ev.slope == pytest.approx(ref.slope, rel=1e-12)
+        span = max(p.model.labels) - min(p.model.labels)
+        assert abs(ev.moment - p.moment_target) <= UNIT_TOL * span

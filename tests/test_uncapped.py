@@ -33,7 +33,7 @@ def tilts(monkeypatch):
 
 
 def assert_solved(res, tilts, max_evals=MAX_EVALS):
-    f = res.problem.labels_array()
+    f = np.asarray(res.problem.model.labels)
     span = float(f.max() - f.min())
     assert res.residual <= TOL * span
     assert res.diagnostics.evaluations == len(tilts) <= max_evals
