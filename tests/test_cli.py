@@ -274,11 +274,12 @@ class TestOracleCommand:
         assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "ToleranceNotMet"
 
     def test_underflowing_integrand_exit_code(self, tmp_path, capsys):
+        # The integrand peaks at 4^-800, below the smallest double.
         spec = write_spec(tmp_path / "s.json", labels=(0, 1), counts=(800, 800),
                           target=0.5)
         assert run(["oracle", "--spec", spec, "--method", "quadrature",
-                    "--beta", "0"]) == 4
-        assert json.loads(capsys.readouterr().err)["error"] == "ToleranceNotMet"
+                    "--beta", "0"]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["discrepancy"]) <= 1e-8
 
 
 def strict_json(text):

@@ -1,14 +1,16 @@
 import json
 import math
 import os
-import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.special import gammaln
 
 import momentbayes
@@ -60,10 +62,54 @@ class TestQuadrature:
             quadrature_zeta(demo, 2.0, rel_tol=1e-16)
 
     def test_underflowing_integrand(self):
-        # x^800 (1-x)^800 peaks at 4^-800, below the smallest double.
+        # x^800 (1-x)^800 peaks at 4^-800, below the smallest double; summed
+        # in log space it is an ordinary integrand.
         p = make_problem((0, 1), (800, 800), 0.5)
+        expected = 2.0 * math.lgamma(801) - math.lgamma(1602)
+        assert quadrature_zeta(p, 0.0).log_value == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("beta", [-5.0, 1.0, 3.3])
+    def test_matches_quadpack(self, demo, beta):
+        # An external integrator: QUADPACK through scipy.  On k = 2 with
+        # pseudo-counts (0.5, 1) and counts (0, 3), its algebraic weight takes
+        # the endpoint singularity x^-0.5 exactly.
+        p = make_problem((0.3, 1.7), (0, 3), 1.0, (0.5, 1.0))
+        val, _ = integrate.quad(lambda x: math.exp(beta * (0.3 * x + 1.7 * (1 - x))),
+                                0.0, 1.0, weight="alg", wvar=(-0.5, 3.0),
+                                epsabs=0.0, epsrel=1e-13)
+        assert quadrature_zeta(p, beta).log_value == pytest.approx(math.log(val), abs=1e-9)
+
+        def density(y, x):
+            z = 1.0 - x - y
+            return x**11 * y**2 * z**7 * math.exp(beta * (x + 2 * y + 3 * z))
+
+        val, _ = integrate.dblquad(density, 0.0, 1.0, 0.0, lambda x: 1.0 - x,
+                                   epsabs=0.0, epsrel=1e-13)
+        assert quadrature_zeta(demo, beta).log_value == pytest.approx(math.log(val), abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_tiny_shapes_at_zero_multiplier(self, alpha):
+        # No data: the Dirichlet normalization in closed form.
+        p = make_problem(DEMO_LABELS, (0, 0, 0), 2.3, (alpha,) * 3)
+        expected = 3.0 * math.lgamma(alpha) - math.lgamma(3.0 * alpha)
+        assert quadrature_zeta(p, 0.0).log_value == pytest.approx(expected, rel=1e-10)
+
+    def test_tiny_shape_two_outcomes(self):
+        # Z = B(a1, a2) M(a1; a1 + a2; beta (f1 - f2)) e^(beta f2), by mpmath.
+        p = make_problem((0, 1), (5, 0), 0.5, (1.0, 1e-6))
+        with mp.workdps(40):
+            a1, a2, beta = mp.mpf(6), mp.mpf(1e-6), mp.mpf(2)
+            expected = float(beta + mp.log(mp.beta(a1, a2)) + mp.log(mp.hyp1f1(a1, a1 + a2, -beta)))
+        assert quadrature_zeta(p, 2.0).log_value == pytest.approx(expected, rel=1e-10)
+
+    def test_refusal_is_quick(self):
+        # Four outcomes with no data at pseudo-counts 1e-8: the spacing that
+        # would meet the tolerance needs more points than the budget.
+        p = make_problem((1, 2, 3, 4), (0, 0, 0, 0), 2.5, (1e-8,) * 4)
+        start = time.perf_counter()
         with pytest.raises(ToleranceNotMet):
             quadrature_zeta(p, 0.0)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestMonteCarlo:
@@ -176,7 +222,8 @@ class TestImport:
         assert fresh_python(code).stdout.strip() == "[]"
 
     def test_cli_without_scipy(self, tmp_path):
-        # ``sys.modules['scipy'] = None`` makes every scipy import fail.
+        # ``sys.modules['scipy'] = None`` makes every scipy import fail.  The
+        # quadrature oracle needs none; the series still does.
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(
             {"labels": list(DEMO_LABELS), "counts": list(DEMO_COUNTS), "moment_target": 2.3}))
@@ -184,36 +231,41 @@ class TestImport:
         code = (
             "import sys\n"
             "sys.modules['scipy'] = None\n"
+            "from momentbayes import make_problem\n"
             "from momentbayes.cli import main\n"
+            "from momentbayes.errors import OracleUnavailable\n"
+            "from momentbayes.oracle import series_zeta\n"
             "spec, out = sys.argv[1:]\n"
-            "print(main(['oracle', '--spec', spec, '--method', 'quadrature', '--beta', '1']),\n"
+            "print(main(['oracle', '--spec', spec, '--method', 'quadrature', '--beta', '1',\n"
+            "            '--out', out + '.quad']),\n"
             "      main(['oracle', '--spec', spec, '--method', 'montecarlo', '--beta', '1',\n"
             "            '--samples', '1000', '--out', out + '.mc']),\n"
             "      main(['update', '--spec', spec, '--out', out]))\n"
+            "try:\n"
+            "    series_zeta(make_problem((1, 2, 3), (11, 2, 7), 2.3), 1.0)\n"
+            "except OracleUnavailable:\n"
+            "    print('OracleUnavailable')\n"
         )
         out = fresh_python(code, str(spec), str(report))
-        assert out.stdout.split() == ["4", "0", "0"]
-        assert json.loads(out.stderr.splitlines()[0])["error"] == "OracleUnavailable"
+        assert out.stdout.split() == ["0", "0", "0", "OracleUnavailable"]
+        assert out.stderr == ""
+        assert abs(json.loads(Path(f"{report}.quad").read_text())["discrepancy"]) <= 1e-8
         assert json.loads(report.read_text())["beta"] == pytest.approx(DEMO_BETA, abs=5e-4)
 
     def test_cli_quadrature_warnings_stay_off_stderr(self, tmp_path):
-        # Past 1e5 integrand evaluations scipy warns of roundoff on this
-        # problem; a budget of 1.2e5 runs out in about a second.  The warnings
-        # are counted in the error, which is the one line on stderr.
+        # A hard four-outcome integral (a zero count, pseudo-counts 0.3 and
+        # 0.5) answers within the default budget, with nothing on stderr.
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"labels": [0.1, 0.7, 0.9, 2.5], "counts": [0, 4, 9, 1],
                                     "pseudo_counts": [0.5, 1, 2, 0.3], "moment_target": 1.9}))
         code = (
             "import sys\n"
-            "from momentbayes import oracle\n"
             "from momentbayes.cli import main\n"
-            "oracle._QUADRATURE_EVALS = 120_000\n"
             "print(main(['oracle', '--spec', sys.argv[1], '--method', 'quadrature',\n"
-            "            '--beta', '3']))\n"
+            "            '--beta', '3', '--out', sys.argv[2]]))\n"
         )
-        out = fresh_python(code, str(spec))
-        assert out.stdout.split() == ["4"]
-        [line] = out.stderr.splitlines()
-        err = json.loads(line)
-        assert err["error"] == "ToleranceNotMet"
-        assert int(re.search(r"\((\d+) scipy warnings\)$", err["message"])[1]) > 0
+        report = tmp_path / "report.json"
+        out = fresh_python(code, str(spec), str(report))
+        assert out.stdout.split() == ["0"]
+        assert out.stderr == ""
+        assert abs(json.loads(report.read_text())["discrepancy"]) <= 1e-8
