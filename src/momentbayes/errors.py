@@ -78,7 +78,3 @@ class DimensionTooHigh(OracleError):
 
 class ToleranceNotMet(OracleError):
     pass
-
-
-class OracleUnavailable(OracleError):
-    """The oracle needs an optional dependency (scipy) that is not installed."""

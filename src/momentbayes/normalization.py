@@ -20,8 +20,10 @@ c_i)`` and ``q = x (2 + x) + y^2 = |1 + x + i y|^2 - 1`` per node and label.
 A term over the saddle's has log-modulus ``Re(s - mu) - sum_i a_i
 log1p(q) / 2 + ln(cosh 2v) / 2`` and phase ``Im(s - mu) - sum_i a_i
 atan2(y, 1 + x) + atan(tanh v)``, and ``1 / (s - c_i) = ((1 + x) - i y) /
-((mu - c_i)(1 + q))``.  The scan that decides where the nodes end needs only
-the log-modulus.
+((mu - c_i)(1 + q))``.  A closed-form bound on the log-modulus, concave in
+``v``, gives the ``v`` past which every term is below e^-40 of the saddle's;
+one node pass up to it finds the last term above that, and the sum ends one
+node further.
 Weideman & Trefethen, Math. Comp. 76 (2007); SIAM Review 56 (2014).
 """
 
@@ -40,18 +42,23 @@ _EMBEDDED_TOL = 1e-13
 _HALVINGS = 6
 
 
-def _saddle(a: list, c: list, lo: float, hi: float) -> float:
-    """Root of ``sum_j a_j / (mu - c_j) = 1`` in ``[lo, hi]``: Newton from ``lo``
-    on the reciprocal sum, concave and increasing, so no step overshoots."""
-    mu = lo
+def _saddle(a: list, c: list) -> tuple[float, float]:
+    """Root ``mu`` of ``sum_j a_j / (mu - c_j) = 1``, and ``sum_j a_j / (mu -
+    c_j)^2`` at the last iterate, within ``1e-12 mu`` of it.  Newton on the
+    reciprocal sum, concave and increasing, starts from Jensen's lower bound
+    ``max(sum_{c_j = 0} a_j, A + a.c / A)``, so no step overshoots; ``A =
+    sum_j a_j`` bounds the root above."""
+    hi = sum(a)
+    mu = max(sum(x for x, y in zip(a, c) if y == 0.0), hi + sum(x * y for x, y in zip(a, c)) / hi)
     for _ in range(100):
         r = [x / (mu - y) for x, y in zip(a, c)]
         g = sum(r)
-        nxt = min(hi, mu + g * (g - 1.0) / sum(x * x / y for x, y in zip(r, a)))
+        s2 = sum(x * x / y for x, y in zip(r, a))
+        nxt = min(hi, mu + g * (g - 1.0) / s2)
         if abs(nxt - mu) <= 1e-12 * mu:
             break
         mu = nxt
-    return nxt
+    return nxt, s2
 
 
 def _nodes(v, mu: float, d: np.ndarray, a: np.ndarray):
@@ -66,23 +73,47 @@ def _nodes(v, mu: float, d: np.ndarray, a: np.ndarray):
     return re - 0.5 * (np.log1p(q) @ a) + 0.5 * np.log(np.cosh(2.0 * v)), im, x, y, q
 
 
+def _reach(mu: float, d: np.ndarray, a: np.ndarray, h: float) -> float:
+    """A ``v`` past which no term's log-modulus reaches ``-_TAIL``: the bound
+    below meets ``-_TAIL`` at most ``h`` before it.
+
+    With ``u = mu / d <= 1`` and ``t = sinh^2(v/2)``, ``1 + q = 1 + 8 u t (2 u
+    cosh v - 1) >= 1 - (2u - 1)^2 / 2``, which is below 1 only for ``u < 1/2``;
+    with ``ln cosh 2v <= 2v``, no term's log-modulus exceeds ``-4 mu t + v +
+    K``, ``K = -sum_{u_i < 1/2} a_i ln(1 - (2u_i - 1)^2 / 2) / 2 >= 0``.  That
+    bound is concave and starts at ``K``, so it falls through ``-_TAIL`` once,
+    with negative slope ``1 - 2 mu sinh v``, at the fixed point of ``v = 2
+    asinh(sqrt((_TAIL + K + v) / (4 mu)))``.  The iteration approaches it from
+    above, contracting by more than 40; :class:`NoConvergence` when the fixed
+    point lies past ``_V_MAX``."""
+    u = mu / d
+    low = u < 0.5
+    k_bound = -0.5 * float(a[low] @ np.log1p(-0.5 * (2.0 * u[low] - 1.0) ** 2))
+    v_max, above = _V_MAX, math.inf
+    while above - v_max > h:
+        above, v_max = v_max, 2.0 * math.asinh(math.sqrt((_TAIL + k_bound + v_max) / (4.0 * mu)))
+        if v_max > _V_MAX:
+            raise NoConvergence(f"contour terms do not decay (saddle at {mu:.3g})")
+    return v_max
+
+
 def _contour(a: np.ndarray, c: np.ndarray, log_gamma: float):
     """``(log_scale, h, w, wi, r, ri)``: ``ln(prod Gamma(a) integral) = log_scale
     + ln(h sum(w))`` on nodes ``v_j = h j >= 0``, with ``w + i wi`` the node
     weights, doubled for ``j >= 1`` to stand for ``-v_j`` too, and ``r + i ri
     = 1 / (s - c)``.  ``log_gamma`` is ``sum_i ln Gamma(a_i)``."""
-    mu = _saddle(a.tolist(), c.tolist(), float(a[c == 0.0].sum()), float(a.sum()))
+    mu, s2 = _saddle(a.tolist(), c.tolist())
     d = mu - c
     # The Gaussian that fits the terms at the saddle has this width in v.
-    h = min(0.5 / (mu * math.sqrt(float((a / (d * d)).sum()))) / 3.0, _SPACING)
-    scan = 3.0 * h * 1.25 ** np.arange(math.ceil(math.log(_V_MAX / (3.0 * h), 1.25)) + 1)
-    last = np.flatnonzero(_nodes(scan, mu, d, a)[0] > -_TAIL).max(initial=-1)
-    if last + 1 == len(scan):
-        raise NoConvergence(f"contour terms do not decay (saddle at {mu:.3g})")
-    v_max = scan[last + 1]
+    h = min(0.5 / (mu * math.sqrt(s2)) / 3.0, _SPACING)
+    v_max = _reach(mu, d, a, h)
     for _ in range(_HALVINGS + 1):
-        v = h * np.arange(int(v_max / h) + 1)
+        # The nodes end one past the last term above e^-_TAIL, which lies
+        # before v_max.
+        v = h * np.arange(int(v_max / h) + 2)
         log_modulus, im, x, y, q = _nodes(v, mu, d, a)
+        n = int(np.flatnonzero(log_modulus > -_TAIL).max()) + 2
+        v, log_modulus, im, x, y, q = v[:n], log_modulus[:n], im[:n], x[:n], y[:n], q[:n]
         modulus = np.exp(log_modulus)
         modulus[1:] *= 2.0
         xp = 1.0 + x

@@ -11,19 +11,17 @@ Four routes that share no code with the contour evaluator:
 - the confluent hypergeometric function ``kummer_m_log``, which gives ``Z``
   in closed form for ``k = 2``.
 
-The series needs scipy, which is imported only when it runs; without it
-it raises :class:`OracleUnavailable`.
+All four need only numpy and the standard library.
 """
 
 from __future__ import annotations
 
-import importlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooHigh, NoConvergence, OracleUnavailable, ToleranceNotMet
+from .errors import DimensionTooHigh, NoConvergence, ToleranceNotMet
 from .model import Problem
 
 QUADRATURE_MAX_K = 4
@@ -60,14 +58,9 @@ class MonteCarloMoments:
     low_ess: bool
 
 
-def _scipy(name: str):
-    """``scipy.<name>``, or :class:`OracleUnavailable` when scipy is missing."""
-    try:
-        return importlib.import_module(f"scipy.{name}")
-    except ImportError as exc:
-        raise OracleUnavailable(
-            f"this oracle needs scipy ({exc}); install the 'oracle' extra"
-        ) from exc
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """``ln Gamma`` of each (positive) entry of ``x``, by :func:`math.lgamma`."""
+    return np.frompyfunc(math.lgamma, 1, 1)(x).astype(float)
 
 
 def quadrature_zeta(p: Problem, beta: float,
@@ -255,7 +248,6 @@ def series_zeta(p: Problem, beta: float) -> tuple[float, float, float]:
     """
     if not math.isfinite(beta) or beta == 0.0:
         raise ValueError(f"beta must be finite and nonzero, got {beta!r}")
-    gammaln = _scipy("special").gammaln
     f = np.asarray(p.model.labels, dtype=float)
     f_piv = float(f[int(np.argmin(beta * f))])
     levels = series_levels(p, beta)
@@ -265,15 +257,15 @@ def series_zeta(p: Problem, beta: float) -> tuple[float, float, float]:
     for j in range(len(levels) - 1, -1, -1):
         lv = levels[j]
         q = np.arange(caps[j] + 1)
-        u = gammaln(lv.a + q) - gammaln(1.0 + q)
+        u = _lgamma(lv.a + q) - _lgamma(1.0 + q)
         if lv.t > 0.0:
             u = u + q * math.log(lv.t)
         rows = np.arange(sum(caps[:j]) + 1)
         idx = rows[:, None] + q[None, :]
-        inner = -gammaln(lv.b + np.arange(idx[-1, -1] + 1))
+        inner = -_lgamma(lv.b + np.arange(idx[-1, -1] + 1))
         if value is not None:
             inner = inner + value
-        terms = u[None, :] + gammaln(lv.b - lv.a + rows)[:, None] + inner[idx]
+        terms = u[None, :] + _lgamma(lv.b - lv.a + rows)[:, None] + inner[idx]
         top = terms.max(axis=1, keepdims=True)
         w = np.exp(terms - top)
         z = w.sum(axis=1)

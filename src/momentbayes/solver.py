@@ -4,12 +4,14 @@ full posterior state.
 The map ``beta -> E_beta[f . theta]`` is smooth and strictly increasing
 (slope equals the posterior variance of ``f . theta``).  It is solved on the
 :func:`unit_span` labels ``(f - F) / (f_max - f_min)``, as is the comparator's
-tilt, by safeguarded Newton from the tilt at the saddle point; the multiplier
-there, ``tau = beta (f_max - f_min)``, is free of label shift and scale.  The
-solve stops when its logit residual is within :data:`TOL`, on that problem too;
-a ``beta_cap`` the caller sets is a check on the solved ``tau``.  Each Newton
-step is one contour evaluation, and the solver keeps the one at its answer:
-:func:`full_update` assembles the posterior from it without evaluating again.
+tilt, by safeguarded Newton from the tilt at the saddle point with the next
+term of the saddle-point expansion taken in (:func:`_seed`); the multiplier on
+those labels, ``tau = beta (f_max - f_min)``, is free of label shift and
+scale.  The solve stops when its logit residual is within :data:`TOL`, on that
+problem too; a ``beta_cap`` the caller sets is a check on the solved ``tau``.
+Each Newton step is one contour evaluation, and the solver keeps the one at
+its answer: :func:`full_update` assembles the posterior from it without
+evaluating again.
 """
 
 from __future__ import annotations
@@ -117,17 +119,25 @@ def unit_span(f: np.ndarray, F: float) -> tuple[np.ndarray, float]:
 
 
 def _seed(d: np.ndarray, a: np.ndarray) -> float:
-    """Tilt ``-x sum_i a_i / (1 + x d_i)`` at the saddle point on the
-    :func:`unit_span` labels ``d`` (``a = m + alpha``): the constrained maximum
-    of ``sum_i a_i ln theta_i`` is ``theta_i ∝ a_i / (1 + x d_i)`` with ``sum_i
-    a_i d_i / (1 + x d_i) = 0``, strictly decreasing in ``x`` on ``1 + x d_i
-    > 0``, so bracketed Newton from 0 finds ``x``."""
-    d, a = d.tolist(), a.tolist()
-    lo, hi = -1.0 / max(d), -1.0 / min(d)
+    """Tilt at the saddle point on the :func:`unit_span` labels ``d`` (``a = m
+    + alpha``), moved by the next term of the saddle-point expansion.
+
+    The constrained maximum of ``sum_i a_i ln theta_i`` is ``theta_i = a_i /
+    D_i`` with ``D_i = R (1 + x d_i)``, ``R = sum_i a_i / (1 + x d_i)`` and
+    ``sum_i a_i d_i / (1 + x d_i) = 0``, strictly decreasing in ``x`` on ``1 +
+    x d_i > 0``, so bracketed Newton from 0 finds ``x``; the tilt there is
+    ``-x R``.  With ``s_p = sum_i a_i / D_i^p`` and ``e_p = sum_i a_i d_i /
+    D_i^p``, the next term adds ``-a_i (1/D_i^3 - s_3 / (s_2 D_i^2)) / s_2`` to
+    each mean (Daniels, Ann. Math. Statist. 25, 1954), and one Newton step on
+    the saddle-point moment, of slope ``sum_i a_i d_i (d_i - e_2 / s_2) /
+    D_i^2``, takes it into the tilt.  The step is skipped where the term
+    outgrows the mean it corrects."""
+    dl, al = d.tolist(), a.tolist()
+    lo, hi = -1.0 / max(dl), -1.0 / min(dl)
     x = 0.0
     for _ in range(100):
-        r = [ai / (1.0 + x * di) for ai, di in zip(a, d)]
-        rd = [ri * di for ri, di in zip(r, d)]
+        r = [ai / (1.0 + x * di) for ai, di in zip(al, dl)]
+        rd = [ri * di for ri, di in zip(r, dl)]
         h = sum(rd)
         if abs(h) <= 1e-12 * sum(map(abs, rd)):
             break
@@ -135,10 +145,23 @@ def _seed(d: np.ndarray, a: np.ndarray) -> float:
             lo = x
         else:
             hi = x
-        x += h / sum(t * t / ai for t, ai in zip(rd, a))
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-    return -x * sum(r) if x else 0.0  # +0.0, not -0.0, at the Bayes point
+        nxt = x + h / sum(t * t / ai for t, ai in zip(rd, al))
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if nxt == x:  # the bracket is down to adjacent floats
+                break
+        x = nxt
+    if not x:
+        return 0.0  # +0.0, not -0.0, at the Bayes point
+    big_r = sum(r)
+    tau = -x * big_r
+    inv = 1.0 / (big_r * (1.0 + x * d))  # 1 / D
+    w = a * inv * inv
+    s2, s3 = float(w.sum()), float(w @ inv)
+    if float(np.max(np.abs(inv - s3 / s2) * inv)) > s2:
+        return tau
+    e2, e3 = float(w @ d), float((w * inv) @ d)
+    return tau + (e3 - s3 * e2 / s2) / s2 / float(w @ (d * (d - e2 / s2)))
 
 
 def solve_beta_detailed(p: Problem, beta_cap: float = math.inf

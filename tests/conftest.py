@@ -1,9 +1,12 @@
 """Shared fixtures: the three-outcome demo problem and randomized instances."""
 
+import math
+
 import numpy as np
 import pytest
 
 from momentbayes import make_problem
+from momentbayes.errors import MomentOutOfRange
 
 # Demo problem: three outcome kinds labeled 1, 2, 3; a sample of 20 draws
 # with counts (11, 2, 7); target mean 2.3; uniform prior.
@@ -38,3 +41,38 @@ def random_problem(rng, k=None, max_count=7, label_span=1.5):
     lo, hi = labels[0], labels[-1]
     target = lo + (hi - lo) * rng.uniform(0.15, 0.85)
     return make_problem(labels, counts, target)
+
+
+def near_edge_problems(n, seed):
+    """Problems with F within 1e-12 to 0.3 of the span from an edge; the few
+    whose F rounds onto the edge label are invalid and left out."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        k = int(rng.integers(2, 8))
+        scale = math.exp(rng.uniform(math.log(1e-6), math.log(1e6)))
+        offset = scale * rng.uniform(-1e5, 1e5) if rng.uniform() < 0.5 else 0.0
+        x = np.sort(rng.uniform(0.0, 1.0, k))
+        x[0], x[-1] = 0.0, 1.0
+        counts = [int(math.exp(rng.uniform(0.0, math.log(1e7)))) if rng.uniform() < 0.8 else 0
+                  for _ in range(k)]
+        pseudo = np.exp(rng.uniform(math.log(0.01), math.log(2.0), k))
+        gap = math.exp(rng.uniform(math.log(1e-12), math.log(0.3)))
+        u = 1.0 - gap if rng.uniform() < 0.5 else gap
+        try:
+            yield make_problem(offset + scale * x, counts, offset + scale * u, pseudo)
+        except MomentOutOfRange:
+            pass
+
+
+def saddle_point_tilt(p):
+    """The multiplier of the constrained maximum of ``sum_i a_i ln theta_i``:
+    ``theta_i = a_i / (A - t d_i)`` meets ``F`` (and then sums to 1) on the
+    labels ``d = (f - F) / span``; by bisection, in problem units."""
+    f, a = np.asarray(p.model.labels), np.asarray(p.data.counts) + np.asarray(p.prior.pseudo_counts)
+    span = float(f.max() - f.min())
+    d = (f - p.moment_target) / span
+    lo, hi = a.sum() / d.min(), a.sum() / d.max()
+    for _ in range(200):
+        t = 0.5 * (lo + hi)
+        lo, hi = (t, hi) if float(d @ (a / (a.sum() - t * d))) < 0.0 else (lo, t)
+    return t / span

@@ -11,10 +11,14 @@ from momentbayes import (
     make_problem,
     montecarlo_moments,
     quadrature_zeta,
+    solve_beta_detailed,
 )
 from momentbayes import normalization
-from momentbayes.normalization import _contour, moment_and_slope
+from momentbayes.errors import NoConvergence
+from momentbayes.normalization import (_TAIL, _V_MAX, _contour, _nodes, _reach, _saddle,
+                                        moment_and_slope)
 from momentbayes.oracle import SeriesParams, kummer_m_log, series_levels, series_zeta
+from momentbayes.solver import unit_span
 
 from conftest import (
     DEMO_BAYES,
@@ -24,6 +28,7 @@ from conftest import (
     DEMO_LABELS,
     DEMO_MEANS,
     DEMO_ZETA,
+    near_edge_problems,
     random_problem,
 )
 
@@ -296,6 +301,35 @@ def two_outcome_log_z(p, beta):
             + mp.log(mp.hyp1f1(a1, a1 + a2, t, maxterms=10**6)))
 
 
+def tail_bound_cases():
+    """Shapes ``a`` and tilts ``c = tau (d - d_top)`` on unit-span labels ``d``:
+    k 2-8, shapes 0.01-1e4 and |tau| 1e-3-1e4, then near-edge problems at
+    their seed and solved tilts."""
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        k = int(rng.integers(2, 9))
+        d = np.sort(rng.uniform(0.0, 1.0, k))
+        d = (d - d[0]) / (d[-1] - d[0])
+        a = np.exp(rng.uniform(math.log(0.01), math.log(1e4), k))
+        tau = math.copysign(math.exp(rng.uniform(math.log(1e-3), math.log(1e4))),
+                            rng.uniform(-1.0, 1.0))
+        yield a, tau * (d - d[int(np.argmax(tau * d))])
+    for p in near_edge_problems(100, 15):
+        f, a, _ = p.arrays
+        d, span = unit_span(f, p.moment_target)
+        beta, diag, _ = solve_beta_detailed(p)
+        for tau in (diag.seed * span, beta * span):
+            yield a, tau * (d - d[int(np.argmax(tau * d))])
+
+
+def tail_bound(v, mu, d, a):
+    """``-4 mu t + v + K``, ``t = sinh^2(v/2)``: over every term's log-modulus."""
+    u = mu / d
+    low = u < 0.5
+    k_bound = -0.5 * float(a[low] @ np.log(1.0 - 0.5 * (2.0 * u[low] - 1.0) ** 2))
+    return -4.0 * mu * np.sinh(0.5 * v) ** 2 + v + k_bound
+
+
 class TestContour:
     def test_matches_series_oracle(self):
         for p, beta in contour_problems():
@@ -306,6 +340,42 @@ class TestContour:
             assert abs(log_z - ref_log_z) <= 1e-12
             assert np.max(np.abs(means - ref_means)) <= 1e-12
             assert abs(moment - ref_moment) <= 1e-12
+
+    def test_tail_bound(self):
+        # On a dense grid every term lies under the bound, the bound is below
+        # -_TAIL from _reach's v on, and the terms stay below -_TAIL from the
+        # last node on.
+        for a, c in tail_bound_cases():
+            mu, _ = _saddle(a.tolist(), c.tolist())
+            d = mu - c
+            _, h, w, *_ = _contour(a, c, 0.0)
+            v_max, v_last = _reach(mu, d, a, h), h * (len(w) - 1)
+            assert v_last <= v_max + h
+            v = np.linspace(0.0, min(1.5 * v_max, _V_MAX), 4000)
+            log_modulus, bound = _nodes(v, mu, d, a)[0], tail_bound(v, mu, d, a)
+            scale = 4.0 * mu * np.sinh(0.5 * v) ** 2 + float(a.sum())
+            assert np.all(log_modulus <= bound + 1e-12 * scale)
+            assert np.all(bound[v >= v_max] < -_TAIL)
+            assert np.all(log_modulus[v >= v_last] < -_TAIL)
+
+    @pytest.mark.parametrize("mu", [1e-15, 1e-9, 1e-4, 1.0 / 161.0, 1.0 / 160.0, 0.1, 10.0, 1e4])
+    def test_tail_bound_falls_at_its_reach(self, mu):
+        # The bound's slope in v, 1 - 2 mu sinh v, is negative where _reach
+        # stops, small saddles included: the bound is concave and starts above
+        # -_TAIL.  Labels far below the saddle (u < 1/2) raise the bound.
+        theta = np.array([0.2, 0.3, 0.5])
+        d = mu * np.array([1.0, 3.0, 100.0])
+        a = theta * d
+        for h in (1e-3, 0.1):
+            v_max = _reach(mu, d, a, h)
+            assert 1.0 - 2.0 * mu * math.sinh(v_max) < 0.0
+            assert tail_bound(np.array([v_max]), mu, d, a)[0] <= -_TAIL
+
+    def test_tail_past_reach_raises(self):
+        # Below a saddle near 1e-16 the bound is still above -_TAIL at _V_MAX.
+        mu = 1e-17
+        with pytest.raises(NoConvergence):
+            _reach(mu, np.array([mu, mu]), np.array([0.5 * mu, 0.5 * mu]), 0.1)
 
     def test_embedded_error_estimate(self, monkeypatch):
         # Dropping the odd nodes doubles the spacing; the two sums agree to
@@ -384,7 +454,7 @@ class TestContour:
         # The node count follows from the saddle alone; a change to it is a
         # deliberate decision.  Demo counts x125 at their solved beta.
         big = make_problem(DEMO_LABELS, [125 * c for c in DEMO_COUNTS], 2.3)
-        assert evaluate(demo, DEMO_BETA).nodes == 69
+        assert evaluate(demo, DEMO_BETA).nodes == 63
         assert evaluate(big, 1516.46).nodes == 55
 
 

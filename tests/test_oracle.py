@@ -222,8 +222,9 @@ class TestImport:
         assert fresh_python(code).stdout.strip() == "[]"
 
     def test_cli_without_scipy(self, tmp_path):
-        # ``sys.modules['scipy'] = None`` makes every scipy import fail.  The
-        # quadrature oracle needs none; the series still does.
+        # ``sys.modules['scipy'] = None`` makes every scipy import fail.  No
+        # oracle needs scipy: the CLI's oracles and update answer, and so do
+        # the series and the k = 2 closed form.
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(
             {"labels": list(DEMO_LABELS), "counts": list(DEMO_COUNTS), "moment_target": 2.3}))
@@ -231,23 +232,24 @@ class TestImport:
         code = (
             "import sys\n"
             "sys.modules['scipy'] = None\n"
-            "from momentbayes import make_problem\n"
+            "from momentbayes import evaluate, make_problem\n"
             "from momentbayes.cli import main\n"
-            "from momentbayes.errors import OracleUnavailable\n"
-            "from momentbayes.oracle import series_zeta\n"
+            "from momentbayes.oracle import kummer_m_log, series_zeta\n"
             "spec, out = sys.argv[1:]\n"
             "print(main(['oracle', '--spec', spec, '--method', 'quadrature', '--beta', '1',\n"
             "            '--out', out + '.quad']),\n"
             "      main(['oracle', '--spec', spec, '--method', 'montecarlo', '--beta', '1',\n"
             "            '--samples', '1000', '--out', out + '.mc']),\n"
             "      main(['update', '--spec', spec, '--out', out]))\n"
-            "try:\n"
-            "    series_zeta(make_problem((1, 2, 3), (11, 2, 7), 2.3), 1.0)\n"
-            "except OracleUnavailable:\n"
-            "    print('OracleUnavailable')\n"
+            "p = make_problem((1, 2, 3), (11, 2, 7), 2.3)\n"
+            "print(series_zeta(p, 1.0)[0] - evaluate(p, 1.0).log_z)\n"
+            "print(kummer_m_log(2.0, 5.0, 3.0))\n"
         )
         out = fresh_python(code, str(spec), str(report))
-        assert out.stdout.split() == ["0", "0", "0", "OracleUnavailable"]
+        lines = out.stdout.splitlines()
+        assert lines[0].split() == ["0", "0", "0"]
+        assert abs(float(lines[1])) <= 1e-12
+        assert math.isfinite(float(lines[2]))
         assert out.stderr == ""
         assert abs(json.loads(Path(f"{report}.quad").read_text())["discrepancy"]) <= 1e-8
         assert json.loads(report.read_text())["beta"] == pytest.approx(DEMO_BETA, abs=5e-4)

@@ -2,7 +2,9 @@
 problems arbitrarily close to the edge of the label range solve, and a cap the
 caller sets is a check on the solved tilt."""
 
+import builtins
 import math
+from collections import Counter
 
 import mpmath as mp
 import numpy as np
@@ -10,10 +12,11 @@ import pytest
 
 from momentbayes import (compare, evaluate, full_update, make_problem, normalization,
                          solve_beta_detailed, sweep)
-from momentbayes.errors import Diverged, MomentOutOfRange
+from momentbayes import solver
+from momentbayes.errors import Diverged
 from momentbayes.solver import TOL, solve_increasing
 
-from conftest import DEMO_COUNTS, DEMO_LABELS
+from conftest import DEMO_COUNTS, DEMO_LABELS, near_edge_problems, saddle_point_tilt
 
 MAX_EVALS = 8
 
@@ -103,27 +106,6 @@ class TestSolveIncreasing:
             assert diag.bracket[0] <= beta and diag.bracket[1] == math.inf
 
 
-def near_edge_problems(n, seed):
-    """Problems with F within 1e-12 to 0.3 of the span from an edge; the few
-    whose F rounds onto the edge label are invalid and left out."""
-    rng = np.random.default_rng(seed)
-    for _ in range(n):
-        k = int(rng.integers(2, 8))
-        scale = math.exp(rng.uniform(math.log(1e-6), math.log(1e6)))
-        offset = scale * rng.uniform(-1e5, 1e5) if rng.uniform() < 0.5 else 0.0
-        x = np.sort(rng.uniform(0.0, 1.0, k))
-        x[0], x[-1] = 0.0, 1.0
-        counts = [int(math.exp(rng.uniform(0.0, math.log(1e7)))) if rng.uniform() < 0.8 else 0
-                  for _ in range(k)]
-        pseudo = np.exp(rng.uniform(math.log(0.01), math.log(2.0), k))
-        gap = math.exp(rng.uniform(math.log(1e-12), math.log(0.3)))
-        u = 1.0 - gap if rng.uniform() < 0.5 else gap
-        try:
-            yield make_problem(offset + scale * x, counts, offset + scale * u, pseudo)
-        except MomentOutOfRange:
-            pass
-
-
 def test_near_edge_problems_solve(tilts):
     problems = list(near_edge_problems(200, 14))
     assert len(problems) == 192
@@ -153,6 +135,31 @@ def test_newton_cycle_across_a_bend(tilts):
     res = full_update(p)
     assert_solved(res, tilts, max_evals=7)
     assert res.beta * (p.model.labels[1] - p.model.labels[0]) == pytest.approx(1.272e5, rel=1e-3)
+    # The seed's next saddle-point term outgrows the means it corrects here,
+    # so the seed stays at the saddle-point tilt; a seed with the term taken
+    # in costs 8 evaluations.
+    assert res.diagnostics.seed == pytest.approx(saddle_point_tilt(p), rel=1e-10)
+
+
+def test_seed_stops_on_adjacent_floats(monkeypatch):
+    # Near an edge the seed's bisection midpoint can round onto a side of its
+    # bracket while the saddle equation is still above its stop; the loop
+    # then evaluated that x again until its 100 iterations ran out.  Each
+    # iteration sums one list, a_i d_i / (1 + x d_i), so no x may repeat it
+    # more than twice.
+    sums = []
+
+    def recording(terms):
+        if isinstance(terms, list):
+            sums.append(tuple(terms))
+        return builtins.sum(terms)
+
+    monkeypatch.setattr(solver, "sum", recording, raising=False)
+    for p in near_edge_problems(200, 14):
+        f, a, _ = p.arrays
+        sums.clear()
+        solver._seed(solver.unit_span(f, p.moment_target)[0], a)
+        assert max(Counter(sums).values()) <= 2
 
 
 TOP = [3.0 - 1e-5, 3.0 - 1e-7, 3.0 - 1e-9, 3.0 - 1e-12, math.nextafter(3.0, 0.0)]
