@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import solver
+from . import normalization, solver
 from .errors import MomentOutOfRange, NoData, ZeroSupport
 from .model import CountData, Problem
 
@@ -87,7 +87,7 @@ def solve_tilt(nu, f, F: float) -> TiltedEmpirical:
         raise ZeroSupport(f"target {F} is outside ({lo}, {hi}) spanned by outcomes with "
                           f"nonzero frequency: the tilt cannot move zero frequencies")
 
-    d, span = solver.unit_span(f, F)
+    d, span = normalization.unit_span(f, F)
     d, nu_on = d[on], nu[on]  # zero frequencies stay zero
 
     def newton(t):

@@ -10,6 +10,7 @@ uniform prior), and a target value ``F`` for the posterior expectation of
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,6 +39,8 @@ class OutcomeModel:
             raise ValueError(f"need at least 2 outcomes, got {len(labels)}")
         if not all(math.isfinite(x) for x in labels):
             raise ValueError("labels must be finite")
+        if not math.isfinite(max(labels) - min(labels)):
+            raise ValueError("the span of the labels must be finite")
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -64,6 +67,8 @@ class CountData:
                 raise ValueError(f"counts must be integers, got {c!r}")
             if ci < 0:
                 raise ValueError(f"counts must be nonnegative, got {c!r}")
+            if ci > sys.float_info.max:
+                raise ValueError("counts must not exceed the largest float")
             out.append(ci)
         object.__setattr__(self, "counts", tuple(out))
 

@@ -77,21 +77,38 @@ def _reach(mu: float, d: np.ndarray, a: np.ndarray, h: float) -> float:
     """A ``v`` past which no term's log-modulus reaches ``-_TAIL``: the bound
     below meets ``-_TAIL`` at most ``h`` before it.
 
-    With ``u = mu / d <= 1`` and ``t = sinh^2(v/2)``, ``1 + q = 1 + 8 u t (2 u
-    cosh v - 1) >= 1 - (2u - 1)^2 / 2``, which is below 1 only for ``u < 1/2``;
-    with ``ln cosh 2v <= 2v``, no term's log-modulus exceeds ``-4 mu t + v +
-    K``, ``K = -sum_{u_i < 1/2} a_i ln(1 - (2u_i - 1)^2 / 2) / 2 >= 0``.  That
-    bound is concave and starts at ``K``, so it falls through ``-_TAIL`` once,
-    with negative slope ``1 - 2 mu sinh v``, at the fixed point of ``v = 2
-    asinh(sqrt((_TAIL + K + v) / (4 mu)))``.  The iteration approaches it from
-    above, contracting by more than 40; :class:`NoConvergence` when the fixed
-    point lies past ``_V_MAX``."""
-    u = mu / d
-    low = u < 0.5
-    k_bound = -0.5 * float(a[low] @ np.log1p(-0.5 * (2.0 * u[low] - 1.0) ** 2))
+    With ``u = mu / d <= 1``, ``t = sinh^2(v/2)`` and ``x = 4 u t``, ``1 + q =
+    1 - 2 (1 - 2u) x + 2 x^2``.  So ``-ln(1 + q) / 2`` starts at 0 with slope
+    ``1 - 2u``, is concave up to its maximum ``kappa = -ln(1 - (1 - 2u)^2 / 2)
+    / 2`` and falls after it: it is at most ``min((1 - 2u) x, kappa)``, and at
+    most 0 for ``u >= 1/2``.  With ``ln cosh 2v <= 2v``, no term's log-modulus
+    exceeds ``-4 mu t + v + sum_{u_i < 1/2} a_i min(4 u_i (1 - 2u_i) t,
+    kappa_i)``, which is concave in ``v`` and 0 at ``v = 0``, so it falls
+    through ``-_TAIL`` once.  With the labels split at the current ``v`` into
+    those whose ``min`` is the line and those at their ``kappa``, the bound is
+    at most ``-rate t + v + K``, ``rate = 4 mu - sum_line 4 a_i u_i (1 -
+    2u_i) > 0`` (``sum_i a_i u_i = mu`` at the saddle) and ``K = sum_kappa
+    a_i kappa_i``, with equality there; the next ``v`` is ``2 asinh(sqrt((_TAIL
+    + K + v) / rate))``.  From ``_V_MAX`` the iteration falls onto the
+    crossing from above, contracting by more than 40; :class:`NoConvergence`
+    when the crossing lies past ``_V_MAX``."""
+    lines = []  # (4 a_i u_i (1 - 2u_i), a_i kappa_i) of the labels with u_i < 1/2
+    for di, ai in zip(d.tolist(), a.tolist()):
+        b = 1.0 - 2.0 * mu / di
+        if b > 0.0:
+            lines.append((2.0 * ai * (1.0 - b) * b, -0.5 * ai * math.log1p(-0.5 * b * b)))
     v_max, above = _V_MAX, math.inf
     while above - v_max > h:
-        above, v_max = v_max, 2.0 * math.asinh(math.sqrt((_TAIL + k_bound + v_max) / (4.0 * mu)))
+        t = math.sinh(0.5 * v_max) ** 2
+        rate, k_bound = 4.0 * mu, 0.0
+        for slope, cap in lines:
+            if slope * t < cap:
+                rate -= slope
+            else:
+                k_bound += cap
+        if not rate > 0.0:
+            raise NoConvergence(f"contour tail bound does not fall (saddle at {mu:.3g})")
+        above, v_max = v_max, 2.0 * math.asinh(math.sqrt((_TAIL + k_bound + v_max) / rate))
         if v_max > _V_MAX:
             raise NoConvergence(f"contour terms do not decay (saddle at {mu:.3g})")
     return v_max
@@ -161,11 +178,27 @@ def _evaluate(f: np.ndarray, a: np.ndarray, log_gamma: float, beta: float) -> Ev
     return Evaluation(log_z, means, float(f[top]) + m, slope, 2 * len(w) - 1)
 
 
+def unit_span(f: np.ndarray, F: float) -> tuple[np.ndarray, float]:
+    """Labels ``(f - F) / span`` (``f - F`` is 0 where ``span = f_max - f_min``
+    is) and ``span``: their multiplier is the tilt ``multiplier * span``, free
+    of label shift and scale, and ``f_i - F`` is exact when an offset dominates."""
+    span = float(f.max() - f.min())
+    return (f - F) / (span or 1.0), span
+
+
+def _in_problem_units(ev: Evaluation, F: float, span: float, beta: float) -> Evaluation:
+    """``ev`` of the :func:`unit_span` labels at ``beta * span``, on ``f`` at ``beta``."""
+    return ev._replace(log_z=ev.log_z + beta * F, moment=F + span * ev.moment,
+                       slope=ev.slope * span * span)
+
+
 def evaluate(p: Problem, beta: float) -> Evaluation:
     """``ln Z``, the posterior means, the moment ``E[f . theta]``, its
     beta-slope (the variance of ``f . theta``) and the node count at ``beta``,
-    all from one contour pass."""
-    return _evaluate(*p.arrays, beta)
+    all from the solver's contour pass on the :func:`unit_span` labels."""
+    f, a, log_gamma = p.arrays
+    d, span = unit_span(f, p.moment_target)
+    return _in_problem_units(_evaluate(d, a, log_gamma, beta * span), p.moment_target, span, beta)
 
 
 def moment_and_slope(d: np.ndarray, a: np.ndarray, log_gamma: float,

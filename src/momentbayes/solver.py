@@ -3,7 +3,7 @@ full posterior state.
 
 The map ``beta -> E_beta[f . theta]`` is smooth and strictly increasing
 (slope equals the posterior variance of ``f . theta``).  It is solved on the
-:func:`unit_span` labels ``(f - F) / (f_max - f_min)``, as is the comparator's
+unit-span labels ``(f - F) / (f_max - f_min)``, as is the comparator's
 tilt, by safeguarded Newton from the tilt at the saddle point with the next
 term of the saddle-point expansion taken in (:func:`_seed`); the multiplier on
 those labels, ``tau = beta (f_max - f_min)``, is free of label shift and
@@ -110,16 +110,8 @@ def solve_increasing(newton, d, *, guess):
     raise NoConvergence(f"no solution to residual {TOL} within {MAX_EVALS} evaluations")
 
 
-def unit_span(f: np.ndarray, F: float) -> tuple[np.ndarray, float]:
-    """Labels ``(f - F) / span`` and ``span = f_max - f_min``: their multiplier
-    is the tilt ``multiplier * span``, free of label shift and scale, and
-    ``f_i - F`` is exact whenever an offset dominates."""
-    span = float(f.max() - f.min())
-    return (f - F) / span, span
-
-
 def _seed(d: np.ndarray, a: np.ndarray) -> float:
-    """Tilt at the saddle point on the :func:`unit_span` labels ``d`` (``a = m
+    """Tilt at the saddle point on the unit-span labels ``d`` (``a = m
     + alpha``), moved by the next term of the saddle-point expansion.
 
     The constrained maximum of ``sum_i a_i ln theta_i`` is ``theta_i = a_i /
@@ -174,7 +166,7 @@ def solve_beta_detailed(p: Problem, beta_cap: float = math.inf
     if p.model.degenerate:
         raise DegenerateLabels("all labels are equal: the multiplier is unidentified")
     f, a, log_gamma = p.arrays
-    d, span = unit_span(f, p.moment_target)
+    d, span = normalization.unit_span(f, p.moment_target)
 
     def newton(t):
         ev = normalization.moment_and_slope(d, a, log_gamma, t)
@@ -184,10 +176,7 @@ def solve_beta_detailed(p: Problem, beta_cap: float = math.inf
     if abs(tau) > beta_cap:
         raise Diverged(f"the tilt {tau:g} lies past the cap {beta_cap:g}")
     beta, (lo, hi) = tau / span, diag.bracket
-    # From the labels (f - F) / span at the tilt tau back to f at beta.
-    F = p.moment_target
-    ev = ev._replace(log_z=ev.log_z + beta * F, moment=F + span * ev.moment,
-                     slope=ev.slope * span * span)
+    ev = normalization._in_problem_units(ev, p.moment_target, span, beta)
     return beta, SolveDiagnostics(diag.evaluations, diag.seed / span,
                                   (lo / span, hi / span), diag.residual), ev
 

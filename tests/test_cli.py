@@ -139,6 +139,20 @@ class TestUpdate:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "BadSpec"
 
+    @pytest.mark.parametrize("command", [["update"], ["compare"],
+                                         ["oracle", "--method", "quadrature"]],
+                             ids=["update", "compare", "oracle"])
+    @pytest.mark.parametrize("labels, counts", [
+        (DEMO_LABELS, [10**400, 2, 7]),  # a count no float holds
+        ([1e308, -1e308, 3], DEMO_COUNTS),  # labels whose span overflows
+    ], ids=["count", "span"])
+    def test_unrepresentable_problem_is_bad_spec(self, tmp_path, capsys, command, labels,
+                                                 counts):
+        bad = write_spec(tmp_path / "bad.json", labels, counts)
+        assert run(command[:1] + ["--spec", bad] + command[1:]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "BadSpec"
+
 
 class TestSweep:
     def test_csv_format_and_monotonicity(self, spec_file, tmp_path):

@@ -63,6 +63,8 @@ class TestValidation:
             CountData((1, -2, 3))
         with pytest.raises(ValueError):
             CountData((1.5, 2, 3))
+        with pytest.raises(ValueError, match="largest float"):
+            make_problem((1, 2, 3), (10**400, 2, 7), 2.3)  # no float holds it
 
     def test_zero_data_allowed(self):
         p = make_problem((1, 2, 3), (0, 0, 0), 2.3)
@@ -75,6 +77,8 @@ class TestValidation:
     def test_nonfinite_labels(self):
         with pytest.raises(ValueError):
             OutcomeModel((1.0, math.inf))
+        with pytest.raises(ValueError, match="span"):
+            make_problem((1e308, -1e308, 3.0), (1, 2, 3), 2.3)  # the span overflows
 
     def test_nan_target_rejected(self):
         with pytest.raises(MomentOutOfRange):

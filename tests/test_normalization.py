@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.special import gammaln
 from momentbayes import (
     bayes_posterior_mean,
     evaluate,
+    full_update,
     make_problem,
     montecarlo_moments,
     quadrature_zeta,
@@ -16,9 +18,8 @@ from momentbayes import (
 from momentbayes import normalization
 from momentbayes.errors import NoConvergence
 from momentbayes.normalization import (_TAIL, _V_MAX, _contour, _nodes, _reach, _saddle,
-                                        moment_and_slope)
+                                        moment_and_slope, unit_span)
 from momentbayes.oracle import SeriesParams, kummer_m_log, series_levels, series_zeta
-from momentbayes.solver import unit_span
 
 from conftest import (
     DEMO_BAYES,
@@ -323,11 +324,18 @@ def tail_bound_cases():
 
 
 def tail_bound(v, mu, d, a):
-    """``-4 mu t + v + K``, ``t = sinh^2(v/2)``: over every term's log-modulus."""
+    """``-4 mu t + v + sum_{u_i < 1/2} a_i min(4 u_i (1 - 2 u_i) t, kappa_i)``,
+    ``t = sinh^2(v/2)``, over every term's log-modulus, and its rate of fall
+    in ``t`` (the labels on their line count against ``4 mu``)."""
     u = mu / d
     low = u < 0.5
-    k_bound = -0.5 * float(a[low] @ np.log(1.0 - 0.5 * (2.0 * u[low] - 1.0) ** 2))
-    return -4.0 * mu * np.sinh(0.5 * v) ** 2 + v + k_bound
+    a, u = a[low], u[low]
+    line = 4.0 * a * u * (1.0 - 2.0 * u)
+    kappa = -0.5 * a * np.log(1.0 - 0.5 * (1.0 - 2.0 * u) ** 2)
+    t = np.sinh(0.5 * v)[:, None] ** 2
+    on_line = line * t < kappa
+    bound = -4.0 * mu * t[:, 0] + v + np.minimum(line * t, kappa).sum(axis=1)
+    return bound, 4.0 * mu - (line * on_line).sum(axis=1)
 
 
 class TestContour:
@@ -352,7 +360,7 @@ class TestContour:
             v_max, v_last = _reach(mu, d, a, h), h * (len(w) - 1)
             assert v_last <= v_max + h
             v = np.linspace(0.0, min(1.5 * v_max, _V_MAX), 4000)
-            log_modulus, bound = _nodes(v, mu, d, a)[0], tail_bound(v, mu, d, a)
+            log_modulus, bound = _nodes(v, mu, d, a)[0], tail_bound(v, mu, d, a)[0]
             scale = 4.0 * mu * np.sinh(0.5 * v) ** 2 + float(a.sum())
             assert np.all(log_modulus <= bound + 1e-12 * scale)
             assert np.all(bound[v >= v_max] < -_TAIL)
@@ -360,16 +368,44 @@ class TestContour:
 
     @pytest.mark.parametrize("mu", [1e-15, 1e-9, 1e-4, 1.0 / 161.0, 1.0 / 160.0, 0.1, 10.0, 1e4])
     def test_tail_bound_falls_at_its_reach(self, mu):
-        # The bound's slope in v, 1 - 2 mu sinh v, is negative where _reach
-        # stops, small saddles included: the bound is concave and starts above
-        # -_TAIL.  Labels far below the saddle (u < 1/2) raise the bound.
+        # The bound's slope in v, 1 - sinh(v) rate / 2, is negative where
+        # _reach stops, small saddles included: the bound is concave and
+        # starts above -_TAIL.  Labels far below the saddle (u < 1/2) raise
+        # the bound.
         theta = np.array([0.2, 0.3, 0.5])
         d = mu * np.array([1.0, 3.0, 100.0])
         a = theta * d
         for h in (1e-3, 0.1):
             v_max = _reach(mu, d, a, h)
-            assert 1.0 - 2.0 * mu * math.sinh(v_max) < 0.0
-            assert tail_bound(np.array([v_max]), mu, d, a)[0] <= -_TAIL
+            bound, rate = tail_bound(np.array([v_max]), mu, d, a)
+            assert 1.0 - 0.5 * math.sinh(v_max) * rate[0] < 0.0
+            assert bound[0] <= -_TAIL
+
+    def test_node_pass_does_not_grow_with_the_counts(self, monkeypatch):
+        # Each label far below the saddle bounds the terms by its own line or
+        # cap, so the node pass computes at most twice the nodes it keeps
+        # however large the counts, and the demo at counts x1e15 solves at once.
+        passes = []
+
+        def counting(v, mu, d, a):
+            out = _nodes(v, mu, d, a)
+            passes.append((len(v), int(np.flatnonzero(out[0] > -_TAIL).max()) + 2))
+            return out
+
+        monkeypatch.setattr(normalization, "_nodes", counting)
+        multipliers = []
+        for e in (3, 6, 9, 11, 12, 15, 18):
+            scale = 10**e
+            p = make_problem(DEMO_LABELS, [m * scale for m in DEMO_COUNTS], 2.3)
+            start = time.perf_counter()
+            if e < 12:
+                evaluate(p, DEMO_BETA * scale)
+            else:
+                multipliers.append(full_update(p).beta / scale)
+            assert e != 15 or time.perf_counter() - start < 0.1
+            assert all(computed <= 2 * kept for computed, kept in passes)
+            passes.clear()
+        assert multipliers == pytest.approx([multipliers[-1]] * 3, rel=1e-12)
 
     def test_tail_past_reach_raises(self):
         # Below a saddle near 1e-16 the bound is still above -_TAIL at _V_MAX.
@@ -574,7 +610,12 @@ class TestMomentAndSlopeConsistency:
             mom, slope = moment_and_slope(*p.arrays, beta)[2:4]
             assert mom == pytest.approx(evaluate(p, beta).moment, abs=1e-9)
             assert slope == pytest.approx(quadrature_variance(p, beta), abs=1e-9)
-            assert evaluate(p, beta).slope == slope
+            # evaluate is the solver's pass: on the unit-span labels at beta *
+            # span, in problem units.
+            f, a, log_gamma = p.arrays
+            d, span = unit_span(f, p.moment_target)
+            ev = moment_and_slope(d, a, log_gamma, beta * span)
+            assert evaluate(p, beta).slope == ev.slope * span * span
 
     @pytest.mark.parametrize("beta", [1e-160, -1e-160, 1e-300, 5e-324])
     def test_tiny_multiplier_uses_closed_form(self, demo, beta):

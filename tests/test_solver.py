@@ -29,6 +29,7 @@ from conftest import (
     DEMO_MEANS,
     DEMO_TARGET,
     DEMO_ZETA,
+    near_edge_problems,
     random_problem,
     saddle_point_tilt,
 )
@@ -451,3 +452,31 @@ def test_solver_evaluation_is_in_problem_units(demo):
         assert ev.slope == pytest.approx(ref.slope, rel=1e-12)
         span = max(p.model.labels) - min(p.model.labels)
         assert abs(ev.moment - p.moment_target) <= UNIT_TOL * span
+
+
+def test_public_evaluator_is_the_solvers_pass(evaluations):
+    # evaluate(p, beta) runs the solver's contour pass, on the unit-span
+    # labels at the tilt beta * span: where that product rounds back to the
+    # solved tilt, it is the solver's evaluation to the bit, and elsewhere
+    # the two tilts differ in their last bits.
+    rng = np.random.default_rng(29)
+    problems = [*near_edge_problems(200, 14), *near_edge_problems(200, 15),
+                *(random_problem(rng) for _ in range(100))]
+    same_tilt = 0
+    for p in problems:
+        beta, _, ev = solve_beta_detailed(p)
+        ref = evaluate(p, beta)
+        if beta * (max(p.model.labels) - min(p.model.labels)) == evaluations[-1]:
+            same_tilt += 1
+            assert ref._replace(means=None) == ev._replace(means=None)
+            np.testing.assert_array_equal(ref.means, ev.means)
+        else:
+            assert abs(ref.log_z - ev.log_z) <= 1e-11 * abs(ev.log_z)
+            assert abs(ref.slope - ev.slope) <= 1e-13 * ev.slope
+            np.testing.assert_allclose(ref.means, ev.means, rtol=0, atol=2e-15)
+    assert same_tilt >= 0.8 * len(problems)
+    # Equal labels: the conjugate answer times e^(beta F), with slope 0.
+    ev = evaluate(make_problem((2, 2, 2), (3, 1, 2), 2.0), 5.0)
+    log_z = math.lgamma(4) + math.lgamma(2) + math.lgamma(3) - math.lgamma(9) + 10.0
+    assert ev.log_z == pytest.approx(log_z, rel=1e-13)
+    assert (ev.moment, ev.slope) == (2.0, 0.0)

@@ -158,7 +158,7 @@ def test_seed_stops_on_adjacent_floats(monkeypatch):
     for p in near_edge_problems(200, 14):
         f, a, _ = p.arrays
         sums.clear()
-        solver._seed(solver.unit_span(f, p.moment_target)[0], a)
+        solver._seed(normalization.unit_span(f, p.moment_target)[0], a)
         assert max(Counter(sums).values()) <= 2
 
 
