@@ -124,6 +124,10 @@ class Problem:
             raise MomentOutOfRange(
                 f"moment target {F} must lie strictly inside ({lo}, {hi})"
             )
+        try:
+            self.arrays
+        except OverflowError:
+            raise ValueError("ln Gamma of a shape m + alpha exceeds the largest float") from None
 
     @property
     def k(self) -> int:
@@ -132,7 +136,7 @@ class Problem:
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, float]:
         """Labels ``f``, shapes ``a = m + alpha`` and ``sum_i ln Gamma(a_i)``,
-        formed once per problem; the arrays are read-only."""
+        formed once per problem, when it is built; the arrays are read-only."""
         f = np.asarray(self.model.labels, dtype=float)
         a = np.asarray(self.data.counts, dtype=float) + np.asarray(self.prior.pseudo_counts)
         f.flags.writeable = a.flags.writeable = False

@@ -15,15 +15,14 @@ a_i <1/(s - c_i)>``, the moment ``f_top + <g>`` and its slope ``<(g - <g>)^2
 + g_2>``, with ``<.>`` the node-weighted average, ``f' = f - f_top``, ``g =
 sum_i a_i f'_i / (s - c_i)`` and ``g_2 = sum_i a_i f'_i^2 / (s - c_i)^2``.
 
-Everything is formed in real arithmetic from ``x + i y = (s - mu) / (mu -
-c_i)`` and ``q = x (2 + x) + y^2 = |1 + x + i y|^2 - 1`` per node and label.
-A term over the saddle's has log-modulus ``Re(s - mu) - sum_i a_i
-log1p(q) / 2 + ln(cosh 2v) / 2`` and phase ``Im(s - mu) - sum_i a_i
-atan2(y, 1 + x) + atan(tanh v)``, and ``1 / (s - c_i) = ((1 + x) - i y) /
-((mu - c_i)(1 + q))``.  A closed-form bound on the log-modulus, concave in
-``v``, gives the ``v`` past which every term is below e^-40 of the saddle's;
-one node pass up to it finds the last term above that, and the sum ends one
-node further.
+Each term is formed from ``x + i y = (s - mu) / (mu - c_i)`` and ``q = x (2 +
+x) + y^2 = |1 + x + i y|^2 - 1`` per node and label.  Over the saddle's it has
+the real log-modulus ``Re(s - mu) - sum_i a_i log1p(q) / 2 + ln(cosh 2v) / 2``
+and phase ``Im(s - mu) - sum_i a_i atan2(y, 1 + x) + atan(tanh v)``; the node
+weights and ``1 / (s - c_i) = ((1 + x) - i y) / ((mu - c_i)(1 + q))`` are
+complex.  A closed-form bound on the log-modulus, concave in ``v``, gives the
+``v`` past which every term is below e^-40 of the saddle's; one node pass up
+to it finds the last term above that, and the sum ends one node further.
 Weideman & Trefethen, Math. Comp. 76 (2007); SIAM Review 56 (2014).
 """
 
@@ -115,10 +114,10 @@ def _reach(mu: float, d: np.ndarray, a: np.ndarray, h: float) -> float:
 
 
 def _contour(a: np.ndarray, c: np.ndarray, log_gamma: float):
-    """``(log_scale, h, w, wi, r, ri)``: ``ln(prod Gamma(a) integral) = log_scale
-    + ln(h sum(w))`` on nodes ``v_j = h j >= 0``, with ``w + i wi`` the node
-    weights, doubled for ``j >= 1`` to stand for ``-v_j`` too, and ``r + i ri
-    = 1 / (s - c)``.  ``log_gamma`` is ``sum_i ln Gamma(a_i)``."""
+    """``(log_scale, h, w, r)``: ``ln(prod Gamma(a) integral) = log_scale +
+    ln(h Re sum(w))`` on nodes ``v_j = h j >= 0``, with ``w`` the complex node
+    weights, doubled for ``j >= 1`` to stand for ``-v_j`` too, and ``r = 1 / (s
+    - c)``.  ``log_gamma`` is ``sum_i ln Gamma(a_i)``."""
     mu, s2 = _saddle(a.tolist(), c.tolist())
     d = mu - c
     # The Gaussian that fits the terms at the saddle has this width in v.
@@ -131,16 +130,13 @@ def _contour(a: np.ndarray, c: np.ndarray, log_gamma: float):
         log_modulus, im, x, y, q = _nodes(v, mu, d, a)
         n = int(np.flatnonzero(log_modulus > -_TAIL).max()) + 2
         v, log_modulus, im, x, y, q = v[:n], log_modulus[:n], im[:n], x[:n], y[:n], q[:n]
-        modulus = np.exp(log_modulus)
-        modulus[1:] *= 2.0
         xp = 1.0 + x
-        phase = im - np.arctan2(y, xp) @ a + np.arctan(np.tanh(v))
-        w = modulus * np.cos(phase)
-        total = w.sum()
-        if abs(total - 2.0 * (w[0] + w[2::2].sum())) <= _EMBEDDED_TOL * total:
+        w = np.exp(log_modulus + 1j * (im - np.arctan2(y, xp) @ a + np.arctan(np.tanh(v))))
+        w[1:] *= 2.0
+        total = w.real.sum()
+        if abs(total - 2.0 * (w[0].real + w[2::2].real.sum())) <= _EMBEDDED_TOL * total:
             log_scale = log_gamma + mu - float(a @ np.log(d)) + math.log(mu / math.pi)
-            den = d * (1.0 + q)
-            return log_scale, h, w, modulus * np.sin(phase), xp / den, -y / den
+            return log_scale, h, w, (xp - 1j * y) / (d * (1.0 + q))
         h *= 0.5
     raise NoConvergence(f"contour sum not converged at {2 * len(w) - 1} nodes")
 
@@ -163,17 +159,12 @@ def _evaluate(f: np.ndarray, a: np.ndarray, log_gamma: float, beta: float) -> Ev
         raise ValueError(f"beta must be finite, got {beta!r}")
     top = int(np.argmax(beta * f))
     fs = f - f[top]
-    log_scale, h, w, wi, r, ri = _contour(a, beta * fs, log_gamma)
-    total = float(w.sum())
-    means = a * (w @ r - wi @ ri) / total
+    log_scale, h, w, r = _contour(a, beta * fs, log_gamma)
+    total = float(w.real.sum())
+    means = a * (w @ r).real / total
     m = float(fs @ means)
-    af = a * fs
-    af2 = af * fs
-    g, gi = r @ af - m, ri @ af
-    # The slope <(g - m)^2 + g_2>, with w, g - m and r split into Re and Im.
-    s_re = g * g - gi * gi + (r * r - ri * ri) @ af2
-    s_im = 2.0 * (g * gi + (r * ri) @ af2)
-    slope = float(w @ s_re - wi @ s_im) / total
+    g = r @ (a * fs) - m
+    slope = float((w @ (g * g + (r * r) @ (a * fs * fs))).real) / total
     log_z = beta * float(f[top]) + log_scale + math.log(h * total)
     return Evaluation(log_z, means, float(f[top]) + m, slope, 2 * len(w) - 1)
 
@@ -204,7 +195,5 @@ def evaluate(p: Problem, beta: float) -> Evaluation:
 def moment_and_slope(d: np.ndarray, a: np.ndarray, log_gamma: float,
                      tau: float) -> Evaluation:
     """The :class:`Evaluation` on the solver's unit-span labels ``d`` at the
-    tilt ``tau``, of which the solver steps on the moment and its slope and
-    keeps the rest for its answer; only the solver calls it (``perfbench``
-    counts it)."""
+    tilt ``tau``: the solver's call per step, which ``perfbench`` counts."""
     return _evaluate(d, a, log_gamma, tau)

@@ -3,15 +3,14 @@ full posterior state.
 
 The map ``beta -> E_beta[f . theta]`` is smooth and strictly increasing
 (slope equals the posterior variance of ``f . theta``).  It is solved on the
-unit-span labels ``(f - F) / (f_max - f_min)``, as is the comparator's
-tilt, by safeguarded Newton from the tilt at the saddle point with the next
-term of the saddle-point expansion taken in (:func:`_seed`); the multiplier on
-those labels, ``tau = beta (f_max - f_min)``, is free of label shift and
-scale.  The solve stops when its logit residual is within :data:`TOL`, on that
-problem too; a ``beta_cap`` the caller sets is a check on the solved ``tau``.
-Each Newton step is one contour evaluation, and the solver keeps the one at
-its answer: :func:`full_update` assembles the posterior from it without
-evaluating again.
+unit-span labels ``(f - F) / (f_max - f_min)``, as is the comparator's tilt,
+by safeguarded Newton from the corrected saddle-point tilt of :func:`_seed`;
+the multiplier on those labels, ``tau = beta (f_max - f_min)``, is free of
+label shift and scale.  The solve stops when its logit residual is within
+:data:`TOL`, on that problem too; a ``beta_cap`` the caller sets is a check on
+the solved ``tau``.  Each Newton step is one contour evaluation, and the
+solver keeps the one at its answer: :func:`full_update` assembles the
+posterior from it without evaluating again.
 """
 
 from __future__ import annotations
@@ -27,6 +26,9 @@ from .model import Problem
 
 TOL = 1e-12  # on the logit residual, so also on the unit-span moment ((f - F) / span) . means
 MAX_EVALS = 200
+# The seed's Newton steps in z are at most _SEED_STEP long (psi is close to -z next to a
+# pole, and unbounded steps overshot z past 745), and |z| <= _Z_MAX keeps e^|z| finite.
+_SEED_STEP, _Z_MAX = 8.0, 700.0
 
 
 @dataclass(frozen=True)
@@ -115,45 +117,50 @@ def _seed(d: np.ndarray, a: np.ndarray) -> float:
     + alpha``), moved by the next term of the saddle-point expansion.
 
     The constrained maximum of ``sum_i a_i ln theta_i`` is ``theta_i = a_i /
-    D_i`` with ``D_i = R (1 + x d_i)``, ``R = sum_i a_i / (1 + x d_i)`` and
-    ``sum_i a_i d_i / (1 + x d_i) = 0``, strictly decreasing in ``x`` on ``1 +
-    x d_i > 0``, so bracketed Newton from 0 finds ``x``; the tilt there is
-    ``-x R``.  With ``s_p = sum_i a_i / D_i^p`` and ``e_p = sum_i a_i d_i /
-    D_i^p``, the next term adds ``-a_i (1/D_i^3 - s_3 / (s_2 D_i^2)) / s_2`` to
-    each mean (Daniels, Ann. Math. Statist. 25, 1954), and one Newton step on
-    the saddle-point moment, of slope ``sum_i a_i d_i (d_i - e_2 / s_2) /
-    D_i^2``, takes it into the tilt.  The step is skipped where the term
-    outgrows the mean it corrects."""
+    D_i``, ``D_i = R (1 + x d_i)``, ``R = sum_i a_i / (1 + x d_i)``, where the
+    sums ``H_+`` and ``H_-`` of ``a_i |d_i| / (1 + x d_i)`` over ``d_i > 0`` and
+    ``d_i < 0`` are equal; the tilt there is ``-x R``.  Newton steps on ``psi =
+    ln H_+ - ln H_-``, close to ``-z`` plus a constant next to either pole, in
+    ``z = ln(u / w)``: ``u`` and ``w = 1 - u`` are the shares of ``hi - lo``
+    below and above ``x``, for the poles ``lo = -1 / d_max`` and ``hi = -1 /
+    d_min``.  No bracket is needed, and nothing cancels in ``1 + x d_i = w (1 -
+    d_i / d_max) + u (1 - d_i / d_min)``.  With ``s_p = sum_i a_i / D_i^p`` and
+    ``e_p = sum_i a_i d_i / D_i^p``, the next term adds ``-a_i (1/D_i^3 - s_3 /
+    (s_2 D_i^2)) / s_2`` to each mean (Daniels, Ann. Math. Statist. 25, 1954);
+    one Newton step on the saddle-point moment, of slope ``sum_i a_i d_i (d_i -
+    e_2 / s_2) / D_i^2``, takes it into the tilt unless the term outgrows the
+    mean it corrects.  :class:`NoConvergence` where the tilt exceeds floats."""
     dl, al = d.tolist(), a.tolist()
-    lo, hi = -1.0 / max(dl), -1.0 / min(dl)
-    x = 0.0
-    for _ in range(100):
-        r = [ai / (1.0 + x * di) for ai, di in zip(al, dl)]
-        rd = [ri * di for ri, di in zip(r, dl)]
-        h = sum(rd)
-        if abs(h) <= 1e-12 * sum(map(abs, rd)):
+    top, bottom = max(dl), -min(dl)
+    if min(top, bottom) < 2.0 ** -1022:  # subnormal: 1 / d_max or 1 / d_min can overflow
+        raise NoConvergence("the target lies within a subnormal distance of an edge label")
+    ends = [((top - di) / top, (bottom + di) / bottom) for di in dl]
+    z = min(max(math.log(bottom / top), -_Z_MAX), _Z_MAX)  # x = 0
+    for steps in range(100):
+        u, w = 1.0 / (1.0 + math.exp(-z)), 1.0 / (1.0 + math.exp(z))
+        t = [ai * di / (w * el + u * eh) for ai, di, (el, eh) in zip(al, dl, ends)]
+        hp, hm = sum(ti for ti in t if ti > 0.0), -sum(ti for ti in t if ti < 0.0)
+        psi = math.log(hp) - math.log(hm) if hp and hm else math.copysign(math.inf, hp - hm)
+        if abs(psi) <= 1e-12:
             break
-        if h > 0.0:
-            lo = x
-        else:
-            hi = x
-        nxt = x + h / sum(t * t / ai for t, ai in zip(rd, al))
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-            if nxt == x:  # the bracket is down to adjacent floats
-                break
-        x = nxt
-    if not x:
+        # -psi'(z) = x'(z) sum_i a_i d_i^2 / ((1 + x d_i)^2 H_(sign d_i)), x' = u w (hi - lo)
+        curv = sum(ti / (hp if ti > 0.0 else hm) * ti / ai for ti, ai in zip(t, al) if ti)
+        step = psi / ((1.0 / top + 1.0 / bottom) * u * w * curv) if math.isfinite(psi) else psi
+        z = min(max(z + step, z - _SEED_STEP, -_Z_MAX), z + _SEED_STEP, _Z_MAX)
+    if not steps:
         return 0.0  # +0.0, not -0.0, at the Bayes point
-    big_r = sum(r)
-    tau = -x * big_r
-    inv = 1.0 / (big_r * (1.0 + x * d))  # 1 / D
-    w = a * inv * inv
-    s2, s3 = float(w.sum()), float(w @ inv)
-    if float(np.max(np.abs(inv - s3 / s2) * inv)) > s2:
-        return tau
-    e2, e3 = float(w @ d), float((w * inv) @ d)
-    return tau + (e3 - s3 * e2 / s2) / s2 / float(w @ (d * (d - e2 / s2)))
+    inv = 1.0 / np.array([w * el + u * eh for el, eh in ends])
+    big_r = float(a @ inv)
+    tau = (w / top - u / bottom) * big_r
+    if not math.isfinite(tau):
+        raise NoConvergence(f"the saddle-point tilt is past the float range ({tau})")
+    inv /= big_r  # 1 / D
+    wt = a * inv * inv
+    s2, s3 = float(wt.sum()), float(wt @ inv)
+    e2, e3 = float(wt @ d), float((wt * inv) @ d)
+    slope = float(wt @ (d * (d - e2 / s2)))  # 0 where its terms underflow
+    fits = slope > 0.0 and float(np.max(np.abs(inv - s3 / s2) * inv)) <= s2
+    return tau + (e3 - s3 * e2 / s2) / s2 / slope if fits else tau
 
 
 def solve_beta_detailed(p: Problem, beta_cap: float = math.inf

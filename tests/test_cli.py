@@ -144,8 +144,9 @@ class TestUpdate:
                              ids=["update", "compare", "oracle"])
     @pytest.mark.parametrize("labels, counts", [
         (DEMO_LABELS, [10**400, 2, 7]),  # a count no float holds
+        (DEMO_LABELS, [10**306, 2, 7]),  # a count whose ln Gamma overflows
         ([1e308, -1e308, 3], DEMO_COUNTS),  # labels whose span overflows
-    ], ids=["count", "span"])
+    ], ids=["count", "lgamma", "span"])
     def test_unrepresentable_problem_is_bad_spec(self, tmp_path, capsys, command, labels,
                                                  counts):
         bad = write_spec(tmp_path / "bad.json", labels, counts)

@@ -65,6 +65,8 @@ class TestValidation:
             CountData((1.5, 2, 3))
         with pytest.raises(ValueError, match="largest float"):
             make_problem((1, 2, 3), (10**400, 2, 7), 2.3)  # no float holds it
+        with pytest.raises(ValueError, match="ln Gamma"):
+            make_problem((1, 2, 3), (10**306, 2, 7), 2.3)  # its ln Gamma overflows
 
     def test_zero_data_allowed(self):
         p = make_problem((1, 2, 3), (0, 0, 0), 2.3)
