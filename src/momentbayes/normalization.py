@@ -21,8 +21,8 @@ the real log-modulus ``Re(s - mu) - sum_i a_i log1p(q) / 2 + ln(cosh 2v) / 2``
 and phase ``Im(s - mu) - sum_i a_i atan2(y, 1 + x) + atan(tanh v)``; the node
 weights and ``1 / (s - c_i) = ((1 + x) - i y) / ((mu - c_i)(1 + q))`` are
 complex.  A closed-form bound on the log-modulus, concave in ``v``, gives the
-``v`` past which every term is below e^-40 of the saddle's; one node pass up
-to it finds the last term above that, and the sum ends one node further.
+``v`` past which every term is below e^-40 of the saddle's, and the sum ends
+at the first node past it.
 Weideman & Trefethen, Math. Comp. 76 (2007); SIAM Review 56 (2014).
 """
 
@@ -39,6 +39,7 @@ _V_MAX = 40.0
 _SPACING = math.pi / 4.0 / 6.0 / 3.0  # strip half-width pi/4, sixth of it, 3 nodes
 _EMBEDDED_TOL = 1e-13
 _HALVINGS = 6
+_MAX_CELLS = 1 << 22  # nodes x labels in one pass, about 300 MB of arrays
 
 
 def _saddle(a: list, c: list) -> tuple[float, float]:
@@ -93,9 +94,10 @@ def _reach(mu: float, d: np.ndarray, a: np.ndarray, h: float) -> float:
     when the crossing lies past ``_V_MAX``."""
     lines = []  # (4 a_i u_i (1 - 2u_i), a_i kappa_i) of the labels with u_i < 1/2
     for di, ai in zip(d.tolist(), a.tolist()):
-        b = 1.0 - 2.0 * mu / di
+        u = mu / di
+        b = 1.0 - 2.0 * u
         if b > 0.0:
-            lines.append((2.0 * ai * (1.0 - b) * b, -0.5 * ai * math.log1p(-0.5 * b * b)))
+            lines.append((4.0 * ai * u * b, -0.5 * ai * math.log1p(-0.5 * b * b)))
     v_max, above = _V_MAX, math.inf
     while above - v_max > h:
         t = math.sinh(0.5 * v_max) ** 2
@@ -114,31 +116,31 @@ def _reach(mu: float, d: np.ndarray, a: np.ndarray, h: float) -> float:
 
 
 def _contour(a: np.ndarray, c: np.ndarray, log_gamma: float):
-    """``(log_scale, h, w, r)``: ``ln(prod Gamma(a) integral) = log_scale +
-    ln(h Re sum(w))`` on nodes ``v_j = h j >= 0``, with ``w`` the complex node
-    weights, doubled for ``j >= 1`` to stand for ``-v_j`` too, and ``r = 1 / (s
-    - c)``.  ``log_gamma`` is ``sum_i ln Gamma(a_i)``."""
+    """``(log_scale, h, w, r, total)``: ``ln(prod Gamma(a) integral) =
+    log_scale + ln(h total)``, ``total = Re sum(w)``, on nodes ``v_j = h j``
+    from 0 to the first past :func:`_reach`'s bound, with ``w`` the complex
+    node weights, doubled for ``j >= 1`` to stand for ``-v_j`` too, and ``r =
+    1 / (s - c)``.  ``log_gamma`` is ``sum_i ln Gamma(a_i)``."""
     mu, s2 = _saddle(a.tolist(), c.tolist())
     d = mu - c
     # The Gaussian that fits the terms at the saddle has this width in v.
     h = min(0.5 / (mu * math.sqrt(s2)) / 3.0, _SPACING)
     v_max = _reach(mu, d, a, h)
     for _ in range(_HALVINGS + 1):
-        # The nodes end one past the last term above e^-_TAIL, which lies
-        # before v_max.
-        v = h * np.arange(int(v_max / h) + 2)
+        n = int(v_max / h) + 2
+        if n * len(a) > _MAX_CELLS:
+            raise NoConvergence(f"contour pass of {2 * n - 1} nodes exceeds the cap")
+        v = h * np.arange(n)
         log_modulus, im, x, y, q = _nodes(v, mu, d, a)
-        n = int(np.flatnonzero(log_modulus > -_TAIL).max()) + 2
-        v, log_modulus, im, x, y, q = v[:n], log_modulus[:n], im[:n], x[:n], y[:n], q[:n]
         xp = 1.0 + x
         w = np.exp(log_modulus + 1j * (im - np.arctan2(y, xp) @ a + np.arctan(np.tanh(v))))
         w[1:] *= 2.0
-        total = w.real.sum()
+        total = float(w.real.sum())
         if abs(total - 2.0 * (w[0].real + w[2::2].real.sum())) <= _EMBEDDED_TOL * total:
             log_scale = log_gamma + mu - float(a @ np.log(d)) + math.log(mu / math.pi)
-            return log_scale, h, w, (xp - 1j * y) / (d * (1.0 + q))
+            return log_scale, h, w, (xp - 1j * y) / (d * (1.0 + q)), total
         h *= 0.5
-    raise NoConvergence(f"contour sum not converged at {2 * len(w) - 1} nodes")
+    raise NoConvergence(f"contour sum not converged at {2 * n - 1} nodes")
 
 
 class Evaluation(NamedTuple):
@@ -159,8 +161,7 @@ def _evaluate(f: np.ndarray, a: np.ndarray, log_gamma: float, beta: float) -> Ev
         raise ValueError(f"beta must be finite, got {beta!r}")
     top = int(np.argmax(beta * f))
     fs = f - f[top]
-    log_scale, h, w, r = _contour(a, beta * fs, log_gamma)
-    total = float(w.real.sum())
+    log_scale, h, w, r, total = _contour(a, beta * fs, log_gamma)
     means = a * (w @ r).real / total
     m = float(fs @ means)
     g = r @ (a * fs) - m

@@ -64,6 +64,28 @@ def near_edge_problems(n, seed):
             pass
 
 
+def extreme_problems(n, seed):
+    """Problems at the edges of the input range: k 2-4, sorted labels in (-1,
+    1), each count log-uniform up to 1e250 with probability 0.3 (else 0-49),
+    each pseudo-count log-uniform on 1e-40-3 with probability 0.4 (else 1),
+    and F at a log-uniform gap of 1e-15 to 0.3 of the span from a random edge.
+    The few whose F rounds onto the edge label are invalid and left out."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        k = int(rng.integers(2, 5))
+        labels = np.sort(rng.uniform(-1.0, 1.0, k))
+        counts = [int(10.0 ** rng.uniform(0.0, 250.0)) if rng.uniform() < 0.3
+                  else int(rng.integers(0, 50)) for _ in range(k)]
+        pseudo = [10.0 ** rng.uniform(-40.0, math.log10(3.0)) if rng.uniform() < 0.4 else 1.0
+                  for _ in range(k)]
+        gap = (labels[-1] - labels[0]) * 10.0 ** rng.uniform(-15.0, math.log10(0.3))
+        target = labels[0] + gap if rng.uniform() < 0.5 else labels[-1] - gap
+        try:
+            yield make_problem(labels, counts, target, pseudo)
+        except MomentOutOfRange:
+            pass
+
+
 def saddle_point_tilt(p):
     """The multiplier of the constrained maximum of ``sum_i a_i ln theta_i``:
     ``theta_i = a_i / (A - t d_i)`` meets ``F`` (and then sums to 1) on the

@@ -16,7 +16,7 @@ from momentbayes import (
     solve_beta_detailed,
 )
 from momentbayes import normalization
-from momentbayes.errors import NoConvergence
+from momentbayes.errors import MomentBayesError, NoConvergence
 from momentbayes.normalization import (_TAIL, _V_MAX, _contour, _nodes, _reach, _saddle,
                                         moment_and_slope, unit_span)
 from momentbayes.oracle import SeriesParams, kummer_m_log, series_levels, series_zeta
@@ -383,8 +383,9 @@ class TestContour:
 
     def test_node_pass_does_not_grow_with_the_counts(self, monkeypatch):
         # Each label far below the saddle bounds the terms by its own line or
-        # cap, so the node pass computes at most twice the nodes it keeps
-        # however large the counts, and the demo at counts x1e15 solves at once.
+        # cap, so the node pass is at most twice as long as the nodes up to
+        # the last term above e^-_TAIL however large the counts, and the demo
+        # at counts x1e15 solves at once.
         passes = []
 
         def counting(v, mu, d, a):
@@ -412,6 +413,16 @@ class TestContour:
         mu = 1e-17
         with pytest.raises(NoConvergence):
             _reach(mu, np.array([mu, mu]), np.array([0.5 * mu, 0.5 * mu]), 0.1)
+
+    def test_node_pass_past_its_cap_raises(self, demo, monkeypatch):
+        # A huge count with a tiny pseudo-count next to the bottom label once
+        # asked np.arange for 3e93 nodes and raised an untyped ValueError.
+        p = make_problem((0.0, 1.0), (int(5.56e94), 0), 1.79e-84, (1.03e-27, 1.0))
+        with pytest.raises(MomentBayesError):
+            full_update(p)
+        monkeypatch.setattr(normalization, "_MAX_CELLS", 30)
+        with pytest.raises(NoConvergence, match="exceeds the cap"):
+            full_update(demo)
 
     def test_embedded_error_estimate(self, monkeypatch):
         # Dropping the odd nodes doubles the spacing; the two sums agree to
@@ -484,14 +495,14 @@ class TestContour:
         _, _, moment, slope, nodes = evaluate(p, beta)
         assert moment == pytest.approx(ref[0], abs=1e-14)
         assert slope == pytest.approx(ref[1], rel=1e-13)
-        assert nodes == 55
+        assert nodes == 77
 
     def test_node_counts_pinned(self, demo):
         # The node count follows from the saddle alone; a change to it is a
         # deliberate decision.  Demo counts x125 at their solved beta.
         big = make_problem(DEMO_LABELS, [125 * c for c in DEMO_COUNTS], 2.3)
-        assert evaluate(demo, DEMO_BETA).nodes == 63
-        assert evaluate(big, 1516.46).nodes == 55
+        assert evaluate(demo, DEMO_BETA).nodes == 75
+        assert evaluate(big, 1516.46).nodes == 71
 
 
 class TestPosteriorMean:
