@@ -16,6 +16,7 @@ posterior from it without evaluating again.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,18 +75,17 @@ def solve_increasing(newton, d, *, guess):
     order, ``psi' = g' (1/A + 1/B)``, and ``psi = -inf`` or ``inf`` where
     ``A`` or ``B`` underflows.  Every evaluation narrows the bracket, whose
     sides stand at ``-inf`` and ``inf`` until evaluated.  A step that leaves
-    it bisects it, which is infinite toward an open side; an infinite step
-    goes instead twice the last iterate's distance from ``guess`` plus
-    ``|guess| + 1``.  The answer is the iterate whose evaluation met the stop
-    rule; :class:`NoConvergence` when the evaluation budget runs out first.
-    Identical inputs take identical paths.
+    it goes instead to its midpoint in asinh scale, an open side standing at
+    the largest float; where that rounds onto a side, to the plain midpoint.
+    The answer is the iterate whose evaluation met the stop rule;
+    :class:`NoConvergence` when the evaluation budget runs out first, or no
+    float is left inside the bracket.  Identical inputs take identical paths.
     """
     lo_d, hi_d = float(d.min()), float(d.max())
     edges = np.stack([d - lo_d, hi_d - d], axis=1)
     offset = math.log(-lo_d / hi_d)
     seed = x = float(guess)
     lo, hi = -math.inf, math.inf
-    polish_left = 4
     for evals in range(1, MAX_EVALS + 1):
         p, slope, kept = newton(x)
         A, B = (p @ edges).tolist()
@@ -97,18 +97,19 @@ def solve_increasing(newton, d, *, guess):
         resid = abs(psi)
         newton_ok = slope > 0.0 and math.isfinite(slope)
         step = -psi / slope if newton_ok else math.copysign(math.inf, -psi)
-        if resid <= TOL:
-            # The residual criterion alone leaves x sloppy by resid/slope
-            # when the slope is small; polish until the Newton step itself
-            # is negligible (a step or two, by quadratic convergence).
-            if not newton_ok or abs(step) <= 1e-12 * max(1.0, abs(x)) or polish_left == 0:
-                return x, SolveDiagnostics(evals, seed, (lo, hi), resid), kept
-            polish_left -= 1
-        last, x = x, x + step
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        if math.isinf(x):
-            x = seed + math.copysign(2.0 * abs(last - seed) + abs(seed) + 1.0, x - seed)
+        nxt = x + step
+        if not lo < nxt < hi:
+            a, b = max(lo, -sys.float_info.max), min(hi, sys.float_info.max)
+            nxt = math.sinh(0.5 * (math.asinh(a) + math.asinh(b)))
+            nxt = nxt if a < nxt < b else 0.5 * a + 0.5 * b
+        left = lo < nxt < hi  # a float is left inside the bracket
+        # The residual criterion alone leaves x sloppy by resid/slope when
+        # the slope is small; go on until the Newton step itself is negligible.
+        if resid <= TOL and (not (left and newton_ok) or abs(step) <= 1e-12 * max(1.0, abs(x))):
+            return x, SolveDiagnostics(evals, seed, (lo, hi), resid), kept
+        if not left:
+            raise NoConvergence(f"no float left inside the bracket ({lo!r}, {hi!r})")
+        x = nxt
     raise NoConvergence(f"no solution to residual {TOL} within {MAX_EVALS} evaluations")
 
 

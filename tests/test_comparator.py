@@ -274,11 +274,17 @@ def near_edge_tilts(n, seed):
 
 # Targets closer to an edge than the tolerance on the moment: any tilt past
 # the root met it there, and a solve stepping on the moment returned 13.3x,
-# 8.9x and 5.9x the tilt.
+# 8.9x and 5.9x the tilt.  In the last case nearly all frequency sits on an
+# interior label, so the residual is flat at the guess 0 and the first Newton
+# step lands at -1.8e70; halving back to the root at -631 took more than the
+# 200 evaluations arithmetically, and takes 10 evaluations in asinh scale.
 OVERSHOOT_CASES = [
     ((1, 474), (0.0, 0.002127284463514205), 3.5001029723358583e-16),
     ((3, 951), (0.0, 0.001102872669957164), 9.139647072642115e-17),
     ((4, 890, 635), (0.0, 230820.12194527345, 251686.76963137093), 5.375282988075364e-09),
+    ((1.2108671485257366e145, 9.970558571807267e167, 3.3750299151310773e235, 39),
+     (-0.8959573978711808, -0.6029739109814893, -0.5387155820125051, -0.1908963203569436),
+     -0.8959573857015039),
 ]
 
 

@@ -143,6 +143,20 @@ class TestLogZeta:
         lz = evaluate(demo, 0.0)
         assert lz.log_z == pytest.approx(float(expected), abs=1e-13)
 
+    @pytest.mark.parametrize("alpha", [1e-5, 1e-6, 1e-8, 1e-12])
+    def test_tiny_shapes_match_the_dirichlet_closed_form(self, alpha):
+        # No data and pseudo-counts alpha: at beta = 0, Z is the Dirichlet
+        # normalization.  Its contour integral, 1 / Gamma(3 alpha) or about
+        # 3 alpha, summed as Re sum(w) is made of O(1) terms that cancel, and
+        # it failed the embedded check below alpha = 1e-5; the sum by parts
+        # does not cancel.
+        p = make_problem(DEMO_LABELS, (0, 0, 0), 2.0, (alpha,) * 3)
+        ref = 3.0 * math.lgamma(alpha) - math.lgamma(3.0 * alpha)
+        assert evaluate(p, 0.0).log_z == pytest.approx(ref, rel=1e-15, abs=0.0)
+        res = full_update(p)
+        assert res.beta == 0.0 and res.log_zeta == pytest.approx(ref, rel=1e-15, abs=0.0)
+        assert abs(sum(res.means) - 1.0) <= 1e-14
+
     def test_demo_multiplier_reference_value(self, demo):
         lz = evaluate(demo, DEMO_BETA)
         assert lz.log_z == pytest.approx(math.log(DEMO_ZETA), abs=1e-3)
@@ -432,9 +446,10 @@ class TestContour:
         for p, beta in contour_problems():
             f, a, log_gamma = p.arrays
             c = beta * (f - f[int(np.argmax(beta * f))])
-            _, h, w, *_ = _contour(a, c, log_gamma)
-            i_h = h * w.real.sum()
-            i_2h = 2.0 * h * (w[0].real + w[2::2].real.sum())
+            _, h, w, r, total = _contour(a, c, log_gamma)
+            rho = (w * (r @ a)).real
+            i_h = h * total
+            i_2h = 2.0 * h * (rho[0] + rho[2::2].sum())
             assert abs(i_h - i_2h) / abs(i_h) <= 1e-13
 
     def test_means_and_moment_match_quadrature(self):

@@ -196,9 +196,27 @@ class TestSolveBeta:
         assert abs(evaluate(p, beta).moment - target) <= TOL
 
     def test_budget_runs_out(self):
+        # Logistic weights on d = (-0.5, 0.5), for which psi = x - 1, with a
+        # slope reported 1e6 times too steep: every Newton step creeps a
+        # millionth of the way to the root, inside the bracket, until the
+        # budget is spent.
+        calls = []
+
+        def newton(x):
+            calls.append(x)
+            e = math.exp(x - 1.0)
+            p = np.array([1.0, e]) / (1.0 + e)
+            return p, 1e6 * p[0] * p[1], None
+
+        with pytest.raises(NoConvergence, match="within 200 evaluations"):
+            solve_increasing(newton, np.array([-0.5, 0.5]), guess=0.0)
+        assert len(calls) == MAX_EVALS
+        assert calls == sorted(calls) and calls[-1] < 1e-3
+
+    def test_bracket_closes_at_float_resolution(self):
         # The weights jump from one edge to the other at x = 0.3, so the
-        # residual is infinite at every iterate and the bisection closes in
-        # on the jump until the budget is spent.
+        # residual is infinite at every iterate: halving the bracket in asinh
+        # scale, then plainly, closes it on two adjacent floats.
         calls = []
 
         def newton(x):
@@ -206,9 +224,29 @@ class TestSolveBeta:
             p = np.array([1.0, 0.0]) if x < 0.3 else np.array([0.0, 1.0])
             return p, 0.0, None
 
-        with pytest.raises(NoConvergence):
+        with pytest.raises(NoConvergence, match="no float left"):
             solve_increasing(newton, np.array([-0.5, 0.5]), guess=0.0)
-        assert len(calls) == MAX_EVALS
+        below = max(x for x in calls if x < 0.3)
+        assert math.nextafter(below, 1.0) == min(x for x in calls if x >= 0.3)
+        assert len(calls) <= 70
+
+    def test_bracket_closes_on_a_met_residual(self):
+        # psi = -1e-13 below x = 0.3 and 1e-13 from it on, with a slope of
+        # 1e-14: the residual meets TOL everywhere, but no Newton step is
+        # negligible, so the solve ends where the bracket has no float left,
+        # at its last iterate.
+        calls = []
+
+        def newton(x):
+            calls.append(x)
+            e = math.exp(-1e-13 if x < 0.3 else 1e-13)
+            p = np.array([1.0, e]) / (1.0 + e)
+            return p, 1e-14 * p[0] * p[1], None
+
+        x, diag, _ = solve_increasing(newton, np.array([-0.5, 0.5]), guess=0.0)
+        assert x == calls[-1] and diag.evaluations == len(calls) <= 70
+        assert math.nextafter(diag.bracket[0], 1.0) == diag.bracket[1]
+        assert diag.residual <= UNIT_TOL
 
     def test_divergence_decided_at_the_cap(self, evaluations):
         # The tilt here is about 3.0e6: past the cap the caller set.
