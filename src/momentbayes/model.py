@@ -27,6 +27,14 @@ from .errors import (
 SIMPLEX_ATOL = 1e-12
 
 
+def _floats(xs, what: str) -> tuple[float, ...]:
+    """``xs`` as floats; an integer past the float range is a ``ValueError``."""
+    try:
+        return tuple(float(x) for x in xs)
+    except OverflowError:
+        raise ValueError(f"{what} must not exceed the largest float") from None
+
+
 @dataclass(frozen=True)
 class OutcomeModel:
     """The outcome labels ``f_1..f_k``."""
@@ -34,7 +42,7 @@ class OutcomeModel:
     labels: tuple[float, ...]
 
     def __init__(self, labels) -> None:
-        labels = tuple(float(x) for x in labels)
+        labels = _floats(labels, "labels")
         if len(labels) < 2:
             raise ValueError(f"need at least 2 outcomes, got {len(labels)}")
         if not all(math.isfinite(x) for x in labels):
@@ -62,6 +70,8 @@ class CountData:
     def __init__(self, counts) -> None:
         out = []
         for c in counts:
+            if c in (math.inf, -math.inf):
+                raise ValueError(f"counts must be finite, got {c!r}")
             ci = int(c)
             if ci != c:
                 raise ValueError(f"counts must be integers, got {c!r}")
@@ -84,7 +94,7 @@ class PriorSpec:
     pseudo_counts: tuple[float, ...]
 
     def __init__(self, pseudo_counts) -> None:
-        pcs = tuple(float(a) for a in pseudo_counts)
+        pcs = _floats(pseudo_counts, "pseudo-counts")
         for a in pcs:
             if not (a > 0.0) or not math.isfinite(a):
                 raise NonPositivePseudoCount(f"pseudo-counts must be > 0, got {a!r}")
@@ -162,7 +172,8 @@ def make_problem(labels, counts, moment_target, pseudo_counts=None) -> Problem:
     """Convenience constructor; ``pseudo_counts`` defaults to the flat prior."""
     model = OutcomeModel(labels)
     prior = PriorSpec.flat(model.k) if pseudo_counts is None else PriorSpec(pseudo_counts)
-    return Problem(model, CountData(counts), prior, float(moment_target))
+    (target,) = _floats((moment_target,), "the moment target")
+    return Problem(model, CountData(counts), prior, target)
 
 
 def log_unnormalized_density(p: Problem, beta: float, theta: SimplexPoint) -> float:

@@ -11,7 +11,8 @@ Four routes that share no code with the contour evaluator:
 - the confluent hypergeometric function ``kummer_m_log``, which gives ``Z``
   in closed form for ``k = 2``.
 
-All four need only numpy and the standard library.
+Each reads the problem's own fields, and all four need only numpy and the
+standard library.
 """
 
 from __future__ import annotations
@@ -25,16 +26,16 @@ from .errors import DimensionTooHigh, NoConvergence, ToleranceNotMet
 from .model import Problem
 
 QUADRATURE_MAX_K = 4
-DEFAULT_REL_TOL = 1e-10
 MIN_SAMPLES = 10**3
 LOW_ESS = 100.0
 _BATCH = 1 << 17
 _QUADRATURE_EVALS = 4_000_000  # points summed over all levels
 _QUADRATURE_BLOCK = 1 << 16  # points summed at once
+_QUADRATURE_REL_TOL = 1e-10
 _KUMMER_EPS = 1e-15
 _KUMMER_RUN = 3
 _KUMMER_MAX_TERMS = 10**6
-_LINEAR_SUM_MAX_T = 500.0
+_KUMMER_RESCALE = 1e280
 _SERIES_TAIL = 1e-15
 
 
@@ -58,13 +59,19 @@ class MonteCarloMoments:
     low_ess: bool
 
 
+def _labels_and_shapes(p: Problem) -> tuple[np.ndarray, np.ndarray]:
+    """Labels ``f`` and shapes ``a = m + alpha``, from the problem's own
+    fields rather than the arrays the production path reads."""
+    a = np.asarray(p.data.counts, dtype=float) + np.asarray(p.prior.pseudo_counts, dtype=float)
+    return np.asarray(p.model.labels, dtype=float), a
+
+
 def _lgamma(x: np.ndarray) -> np.ndarray:
     """``ln Gamma`` of each (positive) entry of ``x``, by :func:`math.lgamma`."""
     return np.frompyfunc(math.lgamma, 1, 1)(x).astype(float)
 
 
-def quadrature_zeta(p: Problem, beta: float,
-                    rel_tol: float = DEFAULT_REL_TOL) -> OracleEstimate:
+def quadrature_zeta(p: Problem, beta: float) -> OracleEstimate:
     """``ln Z`` by the tanh-sinh rule in stick-breaking coordinates.
 
     ``theta_j = u_j prod_{l<j} (1 - u_l)`` maps the cube onto the simplex,
@@ -72,20 +79,18 @@ def quadrature_zeta(p: Problem, beta: float,
     t_max``.  The product rule is summed in log space, so endpoint
     singularities and integrands that underflow are ordinary cases.  ``h``
     halves from 1/2 until ``d1^2 / d2``, from the last three levels, is at
-    most ``rel_tol / 10``.  Deterministic; raises :class:`ToleranceNotMet`
-    when the point budget runs out, ``rel_tol`` is below 5e-14, or the value
-    is not finite.
+    most 1e-11, a tenth of the 1e-10 relative tolerance.  Deterministic;
+    raises :class:`ToleranceNotMet` when the point budget runs out or the
+    value is not finite.
     """
     k = p.k
     if k > QUADRATURE_MAX_K:
         raise DimensionTooHigh(f"quadrature is limited to k <= {QUADRATURE_MAX_K}, got k={k}")
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta!r}")
-    if rel_tol < 5e-14:
-        raise ToleranceNotMet(f"relative tolerance {rel_tol:.3g} is below 5e-14")
-    bf = beta * np.asarray(p.model.labels, dtype=float)
+    f, a = _labels_and_shapes(p)
+    bf = beta * f
     shift = float(bf.max())
-    a = np.asarray(p.data.counts, dtype=float) + np.asarray(p.prior.pseudo_counts, dtype=float)
     # End weights below about e^-50 on the smallest exponent.
     t_max = max(3.5, math.asinh(50.0 / (math.pi * float(a.min()))))
     points, logs, h = 0, [], 0.5
@@ -99,7 +104,7 @@ def quadrature_zeta(p: Problem, beta: float,
             raise ToleranceNotMet(f"ln Z {logs[-1]!r} is not finite")
         if len(logs) >= 3:
             d1, d2 = abs(logs[-1] - logs[-2]), abs(logs[-2] - logs[-3])
-            if (d1 * d1 / d2 if d2 > 0.0 else d1) <= 0.1 * rel_tol:
+            if (d1 * d1 / d2 if d2 > 0.0 else d1) <= 0.1 * _QUADRATURE_REL_TOL:
                 break
         h *= 0.5
     return OracleEstimate(log_value=logs[-1] + shift, std_error=0.0, method="quadrature",
@@ -145,8 +150,7 @@ def montecarlo_moments(p: Problem, beta: float, samples: int,
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta!r}")
-    f = np.asarray(p.model.labels, dtype=float)
-    al = np.asarray(p.data.counts, dtype=float) + np.asarray(p.prior.pseudo_counts, dtype=float)
+    f, al = _labels_and_shapes(p)
     c = float(np.max(beta * f))
     rng = np.random.default_rng(seed)
     k = p.k
@@ -194,83 +198,55 @@ def montecarlo_moments(p: Problem, beta: float, samples: int,
     )
 
 
-@dataclass(frozen=True)
-class SeriesParams:
-    """Parameters of one level of the nested series, at zero prefix sum."""
-
-    a: float
-    b: float
-    t: float
-    level: int
-
-    def __post_init__(self) -> None:
-        if not (self.a > 0.0):
-            raise ValueError(f"level {self.level}: a must be positive, got {self.a}")
-        if not (self.b > self.a):
-            # The Beta prefactor Gamma(b - a) must be finite; the series
-            # also needs b > a for its terms to decay.
-            raise ValueError(f"level {self.level}: require b > a, got a={self.a}, b={self.b}")
-
-
-def series_levels(p: Problem, beta: float) -> list[SeriesParams]:
-    """Per-level ``(a_j, b_j, t_j)`` of the nested series, outermost first.
-
-    The eliminated coordinate ``piv`` minimizes ``beta * f``, so every
-    ``t_j = beta * (f_j - f_piv) >= 0``; ``b_j - a_j`` accumulates ``a_piv``
-    and the ``a`` of the inner levels.
-    """
-    f = np.asarray(p.model.labels, dtype=float)
-    a = np.asarray(p.data.counts, dtype=float) + np.asarray(p.prior.pseudo_counts, dtype=float)
-    piv = int(np.argmin(beta * f))
-    d = float(a[piv])
-    levels = []
-    for j, i in enumerate(i for i in reversed(range(p.k)) if i != piv):
-        ai = float(a[i])
-        levels.append(SeriesParams(a=ai, b=ai + d, t=beta * float(f[i] - f[piv]), level=j + 1))
-        d += ai
-    return levels
-
-
 def series_zeta(p: Problem, beta: float) -> tuple[float, float, float]:
     """``(ln Z, moment, slope)`` from the nested positive-term series.
 
-    Eliminating ``piv`` and expanding each remaining exponential-weighted
-    Beta integral gives nested Kummer-type sums of positive terms.  Level
-    ``j`` sums ``q_j`` to a cap 14 standard deviations past its bulk, with
-    the running prefix sum ``Q`` of the outer indices threaded into every
-    inner level; everything is summed in log domain.  Term-wise
-    differentiation in beta gives, with ``S`` the total summation index
-    under the term measure, ``d ln Z / d beta = f_piv + E[S] / beta`` and
-    ``d^2 ln Z / d beta^2 = (E[S(S-1)] - E[S]^2) / beta^2``.  Memory grows as
-    the product of the level caps, so keep ``|beta|`` times the label span
-    modest.  Raises :class:`ToleranceNotMet` when a level's last terms are
-    not negligible.
+    Eliminating the coordinate ``piv`` that minimizes ``beta * f`` and
+    expanding each remaining exponential-weighted Beta integral gives nested
+    Kummer-type sums of positive terms.  Level ``j``, outermost first, runs
+    over the other coordinates in reverse order, with shape ``a_j``, tilt
+    ``t_j = beta * (f_j - f_piv) >= 0`` and gap ``b_j - a_j``, which
+    accumulates ``a_piv`` and the ``a`` of the inner levels.  Level ``j``
+    sums ``q_j`` to a cap 14 standard deviations past its bulk, with the
+    running prefix sum ``Q`` of the outer indices threaded into every inner
+    level; everything is summed in log domain.  Term-wise differentiation in
+    beta gives, with ``S`` the total summation index under the term measure,
+    ``d ln Z / d beta = f_piv + E[S] / beta`` and ``d^2 ln Z / d beta^2 =
+    (E[S(S-1)] - E[S]^2) / beta^2``.  Memory grows as the product of the
+    level caps, so keep ``|beta|`` times the label span modest.  Raises
+    ``ValueError`` for a level whose ``b`` rounds onto its ``a``, and
+    :class:`ToleranceNotMet` when a level's last terms are not negligible.
     """
     if not math.isfinite(beta) or beta == 0.0:
         raise ValueError(f"beta must be finite and nonzero, got {beta!r}")
-    f = np.asarray(p.model.labels, dtype=float)
-    f_piv = float(f[int(np.argmin(beta * f))])
-    levels = series_levels(p, beta)
-    caps = [int(math.ceil(lv.t + 14.0 * math.sqrt(lv.t + 8.0) + 60.0)) if lv.t > 0.0 else 0
-            for lv in levels]
+    f, a = _labels_and_shapes(p)
+    piv = int(np.argmin(beta * f))
+    f_piv = float(f[piv])
+    outer = [i for i in reversed(range(p.k)) if i != piv]
+    shapes, tilts = a[outer], beta * (f[outer] - f_piv)
+    gaps = np.cumsum(np.concatenate(([a[piv]], shapes[:-1])))
+    if np.any(shapes + gaps == shapes):  # b would lose the gap that Gamma(b - a) reads
+        raise ValueError("a level's b = a + (b - a) rounds onto its a")
+    caps = [int(math.ceil(t + 14.0 * math.sqrt(t + 8.0) + 60.0)) if t > 0.0 else 0
+            for t in tilts.tolist()]
     value = es = ess1 = None  # per prefix sum Q of the outer indices
-    for j in range(len(levels) - 1, -1, -1):
-        lv = levels[j]
+    for j in range(len(outer) - 1, -1, -1):
+        aj, gj, tj = float(shapes[j]), float(gaps[j]), float(tilts[j])
         q = np.arange(caps[j] + 1)
-        u = _lgamma(lv.a + q) - _lgamma(1.0 + q)
-        if lv.t > 0.0:
-            u = u + q * math.log(lv.t)
+        u = _lgamma(aj + q) - _lgamma(1.0 + q)
+        if tj > 0.0:
+            u = u + q * math.log(tj)
         rows = np.arange(sum(caps[:j]) + 1)
         idx = rows[:, None] + q[None, :]
-        inner = -_lgamma(lv.b + np.arange(idx[-1, -1] + 1))
+        inner = -_lgamma(aj + gj + np.arange(idx[-1, -1] + 1))
         if value is not None:
             inner = inner + value
-        terms = u[None, :] + _lgamma(lv.b - lv.a + rows)[:, None] + inner[idx]
+        terms = u[None, :] + _lgamma(gj + rows)[:, None] + inner[idx]
         top = terms.max(axis=1, keepdims=True)
         w = np.exp(terms - top)
         z = w.sum(axis=1)
         if caps[j] > 0 and (w[:, -3:] / z[:, None]).max() >= _SERIES_TAIL:
-            raise ToleranceNotMet(f"series level {lv.level} not converged at {caps[j]} terms")
+            raise ToleranceNotMet(f"series level {j + 1} not converged at {caps[j]} terms")
         inner_es = es[idx] if es is not None else 0.0
         inner_ess1 = ess1[idx] if ess1 is not None else 0.0
         value = np.log(z) + top[:, 0]
@@ -292,45 +268,30 @@ def kummer_m_log(a: float, b: float, t: float) -> float:
 
     Requires ``b > a > 0``.  For ``t < 0`` the transformation
     ``M(a; b; t) = exp(t) * M(b - a; b; -t)`` is applied so that all summed
-    terms are positive.  Accurate to a relative error of about 1e-13 for
-    ``|t| <= 200`` and ``a, b <= 1e4``.
+    terms are positive.  The terms after the leading 1 are summed in linear
+    scale, divided by their running sum whenever it passes 1e280, whose log
+    is carried; with no such rescale the result is ``log1p`` of the sum.
+    Accurate to about 1e-15 relative for ``0 < t <= 1e4``; for ``t < 0`` the
+    transformation adds an absolute error of about ``2e-16 |t|``.
+    Raises :class:`NoConvergence` past a million terms.
     """
     if not (b > a > 0.0):
         raise ValueError(f"require b > a > 0, got a={a}, b={b}")
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
-    if t == 0.0:
-        return 0.0
     if t < 0.0:
         return t + kummer_m_log(b - a, b, -t)
-    if t <= _LINEAR_SUM_MAX_T:
-        # All terms positive and bounded by exp(t): safe in linear domain,
-        # which keeps the Pochhammer ratios exact to a few ulp.
-        term = 1.0
-        total = 1.0
-        run = 0
-        for q in range(_KUMMER_MAX_TERMS):
-            term *= (a + q) / (b + q) * t / (q + 1.0)
-            total += term
-            if term < _KUMMER_EPS * total:
-                run += 1
-                if run >= _KUMMER_RUN:
-                    return math.log(total)
-            else:
-                run = 0
-        raise NoConvergence(f"Kummer series not converged after {_KUMMER_MAX_TERMS} terms")
-    # Large t: stream the same sum in log domain.
-    log_t = math.log(t)
-    log_term = 0.0
-    log_total = 0.0
-    run = 0
-    for q in range(1, _KUMMER_MAX_TERMS):
-        log_term += math.log(a + q - 1.0) - math.log(b + q - 1.0) + log_t - math.log(q)
-        log_total = np.logaddexp(log_total, log_term)
-        if log_term - log_total < math.log(_KUMMER_EPS):
+    term, total, log_scale, run = 1.0, 0.0, 0.0, 0
+    for q in range(_KUMMER_MAX_TERMS):
+        term *= (a + q) / (b + q) * t / (q + 1.0)
+        total += term
+        if total > _KUMMER_RESCALE:
+            log_scale += math.log(total)
+            term, total = term / total, 1.0
+        if term <= _KUMMER_EPS * total:
             run += 1
             if run >= _KUMMER_RUN:
-                return float(log_total)
+                return log_scale + math.log(total) if log_scale else math.log1p(total)
         else:
             run = 0
     raise NoConvergence(f"Kummer series not converged after {_KUMMER_MAX_TERMS} terms")

@@ -129,6 +129,7 @@ class TestUpdate:
         ("labels", [1, 2, 10**400]),
         ("pseudo_counts", [1, 1, 10**400]),
         ("moment_target", 10**400),
+        ("labels", [-10**400, 2, 3]),
     ])
     def test_overflowing_number_is_bad_spec(self, tmp_path, capsys, field, value):
         obj = {"labels": list(DEMO_LABELS), "counts": list(DEMO_COUNTS), "moment_target": 2.3,
@@ -138,6 +139,8 @@ class TestUpdate:
         assert run(["update", "--spec", str(bad)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "BadSpec"
+        # make_problem's own ValueError, which names the field.
+        assert field.split("_")[0] in json.loads(err)["message"]
 
     @pytest.mark.parametrize("command", [["update"], ["compare"],
                                          ["oracle", "--method", "quadrature"]],

@@ -68,6 +68,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="ln Gamma"):
             make_problem((1, 2, 3), (10**306, 2, 7), 2.3)  # its ln Gamma overflows
 
+    @pytest.mark.parametrize("labels, counts, target, pseudo", [
+        (DEMO_LABELS, (math.inf, 2, 7), 2.3, None),
+        ((1, 2, 10**400), DEMO_COUNTS, 2.3, None),
+        (DEMO_LABELS, DEMO_COUNTS, 2.3, (1, 1, 10**400)),
+        (DEMO_LABELS, DEMO_COUNTS, 10**400, None),
+    ], ids=["infinite-count", "label", "pseudo-count", "target"])
+    def test_overflowing_number_is_value_error(self, labels, counts, target, pseudo):
+        # int(inf) and float(10**400) raise OverflowError, not a ValueError.
+        with pytest.raises(ValueError):
+            make_problem(labels, counts, target, pseudo)
+
     def test_zero_data_allowed(self):
         p = make_problem((1, 2, 3), (0, 0, 0), 2.3)
         assert p.data.n == 0

@@ -19,7 +19,7 @@ from momentbayes import normalization
 from momentbayes.errors import MomentBayesError, NoConvergence
 from momentbayes.normalization import (_TAIL, _V_MAX, _contour, _nodes, _reach, _saddle,
                                         moment_and_slope, unit_span)
-from momentbayes.oracle import SeriesParams, kummer_m_log, series_levels, series_zeta
+from momentbayes.oracle import kummer_m_log, series_zeta
 
 from conftest import (
     DEMO_BAYES,
@@ -81,11 +81,25 @@ class TestKummer:
             brute_force_log_m(a, b, t), abs=1e-13
         )
 
-    def test_large_argument_log_domain(self):
-        # Beyond the linear-summation window; modest tolerance, log domain.
+    def test_large_argument_rescaled_sum(self):
+        # The terms pass 1e280 and are rescaled, with the log carried.
         assert kummer_m_log(3.0, 9.0, 800.0) == pytest.approx(
-            brute_force_log_m(3, 9, 800), abs=1e-10
+            brute_force_log_m(3, 9, 800), rel=1e-14, abs=0.0
         )
+
+    @pytest.mark.parametrize("a,b,t", [(1e-8, 1.0, 1.0), (0.5, 1.0, 1e-9), (3.0, 7.0, -1e-6),
+                                       (3.0, 9.0, 800.0), (2.5, 3.0, 1e4)])
+    def test_matches_mpmath_hyp1f1(self, a, b, t):
+        # A tiny a or t leaves ln M far below 1, which log(1 + sum) loses.
+        with mp.workdps(40):
+            ref = float(mp.log(mp.hyp1f1(mp.mpf(a), mp.mpf(b), mp.mpf(t))))
+        assert kummer_m_log(a, b, t) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    def test_refusal_past_the_term_budget_is_quick(self):
+        start = time.perf_counter()
+        with pytest.raises(NoConvergence):
+            kummer_m_log(3.0, 9.0, 1e30)
+        assert time.perf_counter() - start < 1.0
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -96,40 +110,20 @@ class TestKummer:
             kummer_m_log(1.0, 2.0, math.inf)
 
     @pytest.mark.parametrize("a,b", [(1.0, 2.0), (3.0, 11.5), (20.0, 21.0)])
-    @pytest.mark.parametrize("t", [1e-8, -1e-8, 3e-9])
+    @pytest.mark.parametrize("t", [1e-8, -1e-8, 3e-9, 1e-12, -1e-15])
     def test_small_argument_matches_limit(self, a, b, t):
-        # Near t = 0 the series is 1 + (a/b) t + O(t^2).  Below |t| ~ 1e-9
-        # the departure sinks under the double-precision quantization of
-        # values near 1, so the bound is checked where it is resolvable.
-        depart = abs(math.expm1(kummer_m_log(a, b, t)))
-        assert depart <= abs(t) * (a / b) * (1.0 + 1e-6)
+        # Near t = 0 the series is 1 + (a/b) t (1 + (a+1)/(b+1) t/2) + O(t^3),
+        # and the sum after the leading 1 keeps its relative accuracy.
+        limit = a / b * t * (1.0 + (a + 1.0) / (b + 1.0) * t / 2.0)
+        assert math.expm1(kummer_m_log(a, b, t)) == pytest.approx(limit, rel=1e-14, abs=0.0)
 
 
-class TestSeriesLevels:
-    def test_demo_structure_without_reordering(self, demo):
-        # With beta < 0 the eliminated coordinate is the largest label, so
-        # the level parameters can be written down by hand:
-        # a = (m2+1, m1+1), b = (n+2-m1, n+3), t = -beta*(f2-f3, f1-f3).
-        levels = series_levels(demo, -2.0)
-        assert [lv.level for lv in levels] == [1, 2]
-        assert [lv.a for lv in levels] == [3.0, 12.0]
-        assert [lv.b for lv in levels] == [11.0, 23.0]
-        assert [lv.t for lv in levels] == [2.0, 4.0]
-
-    def test_tilts_nonnegative_and_b_above_a(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            p = random_problem(rng)
-            beta = float(rng.uniform(-25, 25))
-            for lv in series_levels(p, beta):
-                assert lv.t >= 0.0
-                assert lv.b > lv.a > 0.0
-
-    def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            SeriesParams(a=3.0, b=3.0, t=1.0, level=1)
-        with pytest.raises(ValueError):
-            SeriesParams(a=0.0, b=3.0, t=1.0, level=1)
+class TestSeriesZeta:
+    def test_level_whose_b_rounds_onto_a_rejected(self):
+        # At beta = -1 the pivot is label 1, so the one level has a = 1e20 + 1
+        # and b - a = 1: b rounds onto a.
+        with pytest.raises(ValueError, match="rounds onto"):
+            series_zeta(make_problem((0, 1), (10**20, 0), 0.5), -1.0)
 
 
 class TestLogZeta:
@@ -355,13 +349,14 @@ def tail_bound(v, mu, d, a):
 class TestContour:
     def test_matches_series_oracle(self):
         for p, beta in contour_problems():
-            log_z, means, moment, _, _ = evaluate(p, beta)
-            ref_log_z, ref_moment, _ = series_zeta(p, beta)
+            log_z, means, moment, slope, _ = evaluate(p, beta)
+            ref_log_z, ref_moment, ref_slope = series_zeta(p, beta)
             ref_means = [math.exp(series_zeta(shifted(p, i), beta)[0] - ref_log_z)
                          for i in range(p.k)]
             assert abs(log_z - ref_log_z) <= 1e-12
             assert np.max(np.abs(means - ref_means)) <= 1e-12
             assert abs(moment - ref_moment) <= 1e-12
+            assert abs(slope - ref_slope) <= 1e-12 * ref_slope
 
     def test_tail_bound(self):
         # On a dense grid every term lies under the bound, the bound is below

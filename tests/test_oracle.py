@@ -57,10 +57,6 @@ class TestQuadrature:
         with pytest.raises(DimensionTooHigh):
             quadrature_zeta(p, 1.0)
 
-    def test_unreachable_tolerance(self, demo):
-        with pytest.raises(ToleranceNotMet):
-            quadrature_zeta(demo, 2.0, rel_tol=1e-16)
-
     def test_underflowing_integrand(self):
         # x^800 (1-x)^800 peaks at 4^-800, below the smallest double; summed
         # in log space it is an ordinary integrand.
