@@ -13,7 +13,10 @@ opens into a wedge that passes each ``c_i`` at a distance in proportion to
 far below the top (the parabola's do not).  One node set gives ``E[theta_i] =
 a_i <1/(s - c_i)>``, the moment ``f_top + <g>`` and its slope ``<(g - <g>)^2
 + g_2>``, with ``<.>`` the node-weighted average, ``f' = f - f_top``, ``g =
-sum_i a_i f'_i / (s - c_i)`` and ``g_2 = sum_i a_i f'_i^2 / (s - c_i)^2``.
+sum_i a_i f'_i / (s - c_i)`` and ``g_p = sum_i a_i f'_i^p / (s - c_i)^p``.
+With ``G = g - <g>``, the same nodes give the third and fourth cumulants of
+``f . theta``, ``<G^3 + 3 G g_2 + 2 g_3>`` and ``<G^4 + 6 G^2 g_2 + 8 G g_3 +
+3 g_2^2 + 6 g_4> - 3 slope^2``, formed only where asked for.
 
 Each term is formed from ``x + i y = (s - mu) / (mu - c_i)`` and ``q = x (2 +
 x) + y^2 = |1 + x + i y|^2 - 1`` per node and label.  Over the saddle's it has
@@ -158,9 +161,12 @@ class Evaluation(NamedTuple):
     nodes: int
 
 
-def _evaluate(f: np.ndarray, a: np.ndarray, log_gamma: float, beta: float) -> Evaluation:
+def _evaluate(f: np.ndarray, a: np.ndarray, log_gamma: float, beta: float,
+              cumulants: bool = False):
     """:class:`Evaluation` at ``beta`` from one node set, for labels ``f``,
-    shapes ``a = m + alpha`` and ``log_gamma = sum_i ln Gamma(a_i)``."""
+    shapes ``a = m + alpha`` and ``log_gamma = sum_i ln Gamma(a_i)``; with
+    ``cumulants``, ``(Evaluation, kappa_3, kappa_4)``, the third and fourth
+    cumulants of ``f . theta`` from the same nodes."""
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta!r}")
     top = int(np.argmax(beta * f))
@@ -169,9 +175,22 @@ def _evaluate(f: np.ndarray, a: np.ndarray, log_gamma: float, beta: float) -> Ev
     means = a * (w @ r).real / total
     m = float(fs @ means)
     g = r @ (a * fs) - m
-    slope = float((w @ (g * g + (r * r) @ (a * fs * fs))).real) / total
+    r2, af2 = r * r, a * fs * fs
+    g2 = r2 @ af2
+    y2 = g * g + g2
+    slope = float((w @ y2).real) / total
     log_z = beta * float(f[top]) + log_scale + math.log(h * total)
-    return Evaluation(log_z, means, float(f[top]) + m, slope, 2 * len(w) - 1)
+    ev = Evaluation(log_z, means, float(f[top]) + m, slope, 2 * len(w) - 1)
+    if not cumulants:
+        return ev
+    # ndarray.dot, not @: on vectors this short, matmul's dispatch is a
+    # quarter of what these sums cost.
+    c3 = af2 * fs
+    g3, g4 = (r2 * r).dot(c3), (r2 * r2).dot(c3 * fs)
+    t, wg = y2 + 2.0 * g2, w * g  # t = g^2 + 3 g_2
+    k3 = (wg.dot(t) + 2.0 * w.dot(g3)).real / total
+    m4 = ((wg * g).dot(t) + 8.0 * wg.dot(g3) + 3.0 * (w * g2).dot(y2) + 6.0 * w.dot(g4)).real
+    return ev, float(k3), float(m4) / total - 3.0 * slope * slope
 
 
 def unit_span(f: np.ndarray, F: float) -> tuple[np.ndarray, float]:
@@ -198,7 +217,8 @@ def evaluate(p: Problem, beta: float) -> Evaluation:
 
 
 def moment_and_slope(d: np.ndarray, a: np.ndarray, log_gamma: float,
-                     tau: float) -> Evaluation:
+                     tau: float, cumulants: bool = False):
     """The :class:`Evaluation` on the solver's unit-span labels ``d`` at the
-    tilt ``tau``: the solver's call per step, which ``perfbench`` counts."""
-    return _evaluate(d, a, log_gamma, tau)
+    tilt ``tau``, with ``cumulants`` also ``kappa_3`` and ``kappa_4``: the
+    solver's call per step, which ``perfbench`` counts."""
+    return _evaluate(d, a, log_gamma, tau, cumulants)

@@ -8,9 +8,12 @@ by safeguarded Newton from the corrected saddle-point tilt of :func:`_seed`;
 the multiplier on those labels, ``tau = beta (f_max - f_min)``, is free of
 label shift and scale.  The solve stops when its logit residual is within
 :data:`TOL`, on that problem too; a ``beta_cap`` the caller sets is a check on
-the solved ``tau``.  Each Newton step is one contour evaluation, and the
-solver keeps the one at its answer: :func:`full_update` assembles the
-posterior from it without evaluating again.
+the solved ``tau``.  Each step is one contour evaluation, and the solver keeps
+the one at its answer: :func:`full_update` assembles the posterior from it
+without evaluating again.  The seed's evaluation also forms the third and
+fourth cumulants of ``f . theta``; the first step goes to the root of the
+residual's model from them, whose error is fourth order in the seed's, so a
+well-seeded solve ends at its second evaluation.
 """
 
 from __future__ import annotations
@@ -68,12 +71,15 @@ def solve_increasing(newton, d, *, guess):
     diagnostics, and what ``newton`` returned there.
 
     ``newton(x)`` returns ``(p, g'(x), kept)``, with weights ``p`` summing to
-    1 on labels ``d`` around 0 that span at most 1.  Newton steps on the
+    1 on labels ``d`` around 0 that span at most 1; in place of ``g'(x)`` it
+    may return the cumulants ``(g', g'', g''')``.  Newton steps on the
     residual ``psi = ln A - ln B - ln(-d_min / d_max)``, ``A = p . (d - d_min)``
     and ``B = p . (d_max - d)``: sums of nonnegative terms, so nothing cancels
     near an edge.  ``psi`` vanishes with ``g``, ``|psi| >= 4 |g|`` to first
     order, ``psi' = g' (1/A + 1/B)``, and ``psi = -inf`` or ``inf`` where
-    ``A`` or ``B`` underflows.  Every evaluation narrows the bracket, whose
+    ``A`` or ``B`` underflows.  From an evaluation that returned the
+    cumulants, the step goes instead to the root of their model of ``psi``
+    (:func:`_model_step`).  Every evaluation narrows the bracket, whose
     sides stand at ``-inf`` and ``inf`` until evaluated.  A step that leaves
     it goes instead to its midpoint in asinh scale, an open side standing at
     the largest float; where that rounds onto a side, to the plain midpoint.
@@ -87,7 +93,9 @@ def solve_increasing(newton, d, *, guess):
     seed = x = float(guess)
     lo, hi = -math.inf, math.inf
     for evals in range(1, MAX_EVALS + 1):
-        p, slope, kept = newton(x)
+        p, kappa, kept = newton(x)
+        kappa = kappa if isinstance(kappa, tuple) else (kappa,)
+        slope = kappa[0]
         A, B = (p @ edges).tolist()
         if A > 0.0 < B:
             psi, slope = math.log(A) - math.log(B) - offset, slope * (1.0 / A + 1.0 / B)
@@ -97,7 +105,8 @@ def solve_increasing(newton, d, *, guess):
         resid = abs(psi)
         newton_ok = slope > 0.0 and math.isfinite(slope)
         step = -psi / slope if newton_ok else math.copysign(math.inf, -psi)
-        nxt = x + step
+        nxt = x + (_model_step(step, psi, A, B, *kappa) if kappa[1:] and math.isfinite(step)
+                   else step)
         if not lo < nxt < hi:
             a, b = max(lo, -sys.float_info.max), min(hi, sys.float_info.max)
             nxt = math.sinh(0.5 * (math.asinh(a) + math.asinh(b)))
@@ -111,6 +120,29 @@ def solve_increasing(newton, d, *, guess):
             raise NoConvergence(f"no float left inside the bracket ({lo!r}, {hi!r})")
         x = nxt
     raise NoConvergence(f"no solution to residual {TOL} within {MAX_EVALS} evaluations")
+
+
+def _model_step(step: float, psi: float, A: float, B: float, k2: float, k3: float,
+                k4: float) -> float:
+    """Step ``e`` to the root of the logit residual's model ``psi + ln(A(e) /
+    A) - ln(B(e) / B)``, ``A(e) = A + k2 e + k3 e^2 / 2 + k4 e^3 / 6`` and
+    ``B(e) = B - (A(e) - A)``, from the cumulants ``k2, k3, k4`` of the
+    moment: its error is fourth order in ``e``.  Scalar Newton from the
+    Newton ``step``; that ``step`` where ``A(e)`` or ``B(e)`` leaves (0, inf),
+    ``e`` overflows or 8 iterations do not converge."""
+    e = step
+    for _ in range(8):
+        inc = e * (k2 + e * (0.5 * k3 + e * k4 / 6.0))
+        if not -A < inc < B:
+            return step
+        slope = (k2 + e * (k3 + 0.5 * e * k4)) * (1.0 / (A + inc) + 1.0 / (B - inc))
+        if not 0.0 < slope < math.inf:
+            return step
+        nxt = e - (psi + math.log1p(inc / A) - math.log1p(-inc / B)) / slope
+        if abs(nxt - e) <= 1e-12 * abs(nxt):
+            return nxt
+        e = nxt
+    return step
 
 
 def _seed(d: np.ndarray, a: np.ndarray) -> float:
@@ -176,11 +208,18 @@ def solve_beta_detailed(p: Problem, beta_cap: float = math.inf
     f, a, log_gamma = p.arrays
     d, span = normalization.unit_span(f, p.moment_target)
 
-    def newton(t):
-        ev = normalization.moment_and_slope(d, a, log_gamma, t)
-        return ev.means, ev.slope, ev
+    seed = _seed(d, a)
 
-    tau, diag, ev = solve_increasing(newton, d, guess=_seed(d, a))
+    def newton(t):
+        # No iterate repeats an evaluated one, so only the first forms the
+        # higher cumulants for the model step.
+        if t != seed:
+            ev = normalization.moment_and_slope(d, a, log_gamma, t)
+            return ev.means, ev.slope, ev
+        ev, k3, k4 = normalization.moment_and_slope(d, a, log_gamma, t, cumulants=True)
+        return ev.means, (ev.slope, k3, k4), ev
+
+    tau, diag, ev = solve_increasing(newton, d, guess=seed)
     if abs(tau) > beta_cap:
         raise Diverged(f"the tilt {tau:g} lies past the cap {beta_cap:g}")
     beta, (lo, hi) = tau / span, diag.bracket

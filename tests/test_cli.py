@@ -48,11 +48,19 @@ class TestUpdate:
         assert report["residual"] <= 1e-10
         assert report["solver"]["iterations"] > 0
         assert abs(report["solver"]["seed"] - report["beta"]) <= 1.5
-        # The evaluated side bounds beta; the other, never evaluated, is null,
-        # and so is the cap, which is absent by default.
+        # The demo's second iterate lands just above its first: the bracket
+        # is the seed and the answer.  The cap is absent by default: null.
         lo, hi = report["solver"]["bracket"]
-        assert lo <= report["beta"] and hi is None
+        assert lo <= report["beta"] <= hi
         assert report["solver"]["beta_cap"] is None
+        # At F = 2.99999 the seed's evaluation is the answer: the side never
+        # evaluated is null.
+        assert run(["update", "--spec", write_spec(tmp_path / "edge.json", target=2.99999),
+                    "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["solver"]["iterations"] == 1
+        lo, hi = report["solver"]["bracket"]
+        assert lo == report["beta"] and hi is None
         assert report["spec"]["pseudo_counts"] == [1.0, 1.0, 1.0]
         assert set(report["solver"]) == {"iterations", "seed", "bracket", "beta_cap"}
 
@@ -328,12 +336,14 @@ class TestStrictReports:
         assert run(command + ["--spec", spec, "--beta-cap", "inf"]) == 0
         assert capsys.readouterr().out == default
 
-    def test_cap_is_reported(self, spec_file, capsys):
-        assert run(["update", "--spec", spec_file, "--beta-cap", "1e6"]) == 0
+    def test_cap_is_reported(self, tmp_path, capsys):
+        # F = 2.99999 solves from below in one evaluation, at a tilt of about
+        # 3.0e6: the side never evaluated is null under a cap too.
+        spec = write_spec(tmp_path / "s.json", target=2.99999)
+        assert run(["update", "--spec", spec, "--beta-cap", "1e7"]) == 0
         report = strict_json(capsys.readouterr().out)
         solver_report = report["solver"]
-        assert solver_report["beta_cap"] == 1e6
-        # The side never evaluated is null under a cap too.
+        assert solver_report["beta_cap"] == 1e7
         assert solver_report["bracket"][0] <= report["beta"]
         assert solver_report["bracket"][1] is None
 

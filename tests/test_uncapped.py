@@ -26,9 +26,9 @@ def tilts(monkeypatch):
     calls = []
     inner = normalization.moment_and_slope
 
-    def recording(*args):
+    def recording(*args, **kwargs):
         calls.append(args[-1])
-        return inner(*args)
+        return inner(*args, **kwargs)
 
     monkeypatch.setattr(normalization, "moment_and_slope", recording)
     return calls
@@ -98,12 +98,17 @@ class TestSolveIncreasing:
             solve_beta_detailed(p, beta_cap=tau * (1.0 - 1e-9))
         assert len(tilts) == diag.evaluations
 
-    def test_unevaluated_side_is_infinite(self, demo):
-        # The demo's solve approaches its answer from below only, under a
-        # cap or not.
-        for cap in (math.inf, 1e6):
-            beta, diag, _ = solve_beta_detailed(demo, beta_cap=cap)
-            assert diag.bracket[0] <= beta and diag.bracket[1] == math.inf
+    def test_unevaluated_side_is_infinite(self):
+        # Near either edge the demo's solve ends at the seed's evaluation, at
+        # a tilt of about 3.0e6 or -2.2e6, so the side away from the edge is
+        # never evaluated, under a cap or not.
+        for target, open_side in ((2.99999, 1), (1.00001, 0)):
+            p = make_problem(DEMO_LABELS, DEMO_COUNTS, target)
+            for cap in (math.inf, 1e7):
+                beta, diag, _ = solve_beta_detailed(p, beta_cap=cap)
+                assert diag.evaluations == 1
+                assert diag.bracket[open_side] == math.copysign(math.inf, open_side - 0.5)
+                assert diag.bracket[1 - open_side] == beta
 
 
 def test_near_edge_problems_solve(tilts):
