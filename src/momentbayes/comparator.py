@@ -90,11 +90,11 @@ def solve_tilt(nu, f, F: float) -> TiltedEmpirical:
     d, span = normalization.unit_span(f, F)
     d, nu_on = d[on], nu[on]  # zero frequencies stay zero
 
-    def newton(t):
+    def newton(t, first):
         z = t * d
         w = nu_on * np.exp(z - z.max())
         p = w / w.sum()
-        return p, float(p @ (d - p @ d) ** 2), p
+        return p, (float(p @ (d - p @ d) ** 2),), p
 
     t, _, p = solver.solve_increasing(newton, d, guess=0.0)
     probs = np.zeros_like(nu)

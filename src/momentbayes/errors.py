@@ -64,8 +64,14 @@ class Diverged(SolverError):
 
 
 class NoConvergence(SolverError):
-    """A budget ran out before the stopping rule held: the solver's
-    evaluations, the contour's spacing halvings, or a series' terms."""
+    """No answer that meets its stopping rule.  The solver raises it when its
+    evaluations run out, when no float is left inside its bracket, when the
+    seed's tilt is past the float range or the target lies within a
+    subnormal distance of an edge label, and from ``full_update``'s check
+    on the residual and the mean sum.  The contour raises it when its
+    spacing halvings run out, a node pass exceeds its cap, its tail bound
+    does not fall, or its terms do not decay; the Kummer series when its
+    terms run out."""
 
 
 class OracleError(MomentBayesError):

@@ -64,18 +64,6 @@ def _saddle(a: list, c: list) -> tuple[float, float]:
     return nxt, s2
 
 
-def _nodes(v, mu: float, d: np.ndarray, a: np.ndarray):
-    """``(log_modulus, im, x, y, q)`` at nodes ``v``: each term's log-modulus
-    over the saddle's, ``im = Im(s - mu)``, ``x + i y = (s - mu) / (mu - c)``
-    and ``q = |1 + x + i y|^2 - 1``, formed without rounding ``1 + x`` near
-    the saddle."""
-    sh = np.sinh(0.5 * v)
-    re, im = -4.0 * mu * (sh * sh), 2.0 * mu * np.sinh(v)
-    x, y = re[:, None] / d, im[:, None] / d
-    q = x * (2.0 + x) + y * y
-    return re - 0.5 * (np.log1p(q) @ a) + 0.5 * np.log(np.cosh(2.0 * v)), im, x, y, q
-
-
 def _reach(mu: float, d: np.ndarray, a: np.ndarray, h: float) -> float:
     """A ``v`` past which no term's log-modulus reaches ``-_TAIL``: the bound
     below meets ``-_TAIL`` at most ``h`` before it.
@@ -136,7 +124,11 @@ def _contour(a: np.ndarray, c: np.ndarray, log_gamma: float):
         if n * len(a) > _MAX_CELLS:
             raise NoConvergence(f"contour pass of {2 * n - 1} nodes exceeds the cap")
         v = h * np.arange(n)
-        log_modulus, im, x, y, q = _nodes(v, mu, d, a)
+        sh = np.sinh(0.5 * v)
+        re, im = -4.0 * mu * (sh * sh), 2.0 * mu * np.sinh(v)
+        x, y = re[:, None] / d, im[:, None] / d
+        q = x * (2.0 + x) + y * y  # |1 + x + i y|^2 - 1 without rounding 1 + x
+        log_modulus = re - 0.5 * (np.log1p(q) @ a) + 0.5 * np.log(np.cosh(2.0 * v))
         xp = 1.0 + x
         w = np.exp(log_modulus + 1j * (im - np.arctan2(y, xp) @ a + np.arctan(np.tanh(v))))
         w[1:] *= 2.0
@@ -163,10 +155,11 @@ class Evaluation(NamedTuple):
 
 def _evaluate(f: np.ndarray, a: np.ndarray, log_gamma: float, beta: float,
               cumulants: bool = False):
-    """:class:`Evaluation` at ``beta`` from one node set, for labels ``f``,
-    shapes ``a = m + alpha`` and ``log_gamma = sum_i ln Gamma(a_i)``; with
-    ``cumulants``, ``(Evaluation, kappa_3, kappa_4)``, the third and fourth
-    cumulants of ``f . theta`` from the same nodes."""
+    """``(Evaluation, kappa)`` at ``beta`` from one node set, for labels
+    ``f``, shapes ``a = m + alpha`` and ``log_gamma = sum_i ln Gamma(a_i)``:
+    ``kappa`` is ``(slope,)``, or with ``cumulants`` ``(slope, kappa_3,
+    kappa_4)``, the second to fourth cumulants of ``f . theta`` from the same
+    nodes."""
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta!r}")
     top = int(np.argmax(beta * f))
@@ -182,7 +175,7 @@ def _evaluate(f: np.ndarray, a: np.ndarray, log_gamma: float, beta: float,
     log_z = beta * float(f[top]) + log_scale + math.log(h * total)
     ev = Evaluation(log_z, means, float(f[top]) + m, slope, 2 * len(w) - 1)
     if not cumulants:
-        return ev
+        return ev, (slope,)
     # ndarray.dot, not @: on vectors this short, matmul's dispatch is a
     # quarter of what these sums cost.
     c3 = af2 * fs
@@ -190,7 +183,7 @@ def _evaluate(f: np.ndarray, a: np.ndarray, log_gamma: float, beta: float,
     t, wg = y2 + 2.0 * g2, w * g  # t = g^2 + 3 g_2
     k3 = (wg.dot(t) + 2.0 * w.dot(g3)).real / total
     m4 = ((wg * g).dot(t) + 8.0 * wg.dot(g3) + 3.0 * (w * g2).dot(y2) + 6.0 * w.dot(g4)).real
-    return ev, float(k3), float(m4) / total - 3.0 * slope * slope
+    return ev, (slope, float(k3), float(m4) / total - 3.0 * slope * slope)
 
 
 def unit_span(f: np.ndarray, F: float) -> tuple[np.ndarray, float]:
@@ -213,12 +206,13 @@ def evaluate(p: Problem, beta: float) -> Evaluation:
     all from the solver's contour pass on the :func:`unit_span` labels."""
     f, a, log_gamma = p.arrays
     d, span = unit_span(f, p.moment_target)
-    return _in_problem_units(_evaluate(d, a, log_gamma, beta * span), p.moment_target, span, beta)
+    ev = _evaluate(d, a, log_gamma, beta * span)[0]
+    return _in_problem_units(ev, p.moment_target, span, beta)
 
 
 def moment_and_slope(d: np.ndarray, a: np.ndarray, log_gamma: float,
                      tau: float, cumulants: bool = False):
-    """The :class:`Evaluation` on the solver's unit-span labels ``d`` at the
-    tilt ``tau``, with ``cumulants`` also ``kappa_3`` and ``kappa_4``: the
-    solver's call per step, which ``perfbench`` counts."""
+    """:func:`_evaluate`'s ``(Evaluation, kappa)`` on the solver's unit-span
+    labels ``d`` at the tilt ``tau``: the solver's call per step, which
+    ``perfbench`` counts."""
     return _evaluate(d, a, log_gamma, tau, cumulants)

@@ -266,20 +266,37 @@ def kummer_m_log(a: float, b: float, t: float) -> float:
     ``Z = exp(beta f_2) B(a_1, a_2) M(a_1; a_1 + a_2; beta (f_1 - f_2))``
     with ``a_i = m_i + alpha_i``.
 
-    Requires ``b > a > 0``.  For ``t < 0`` the transformation
-    ``M(a; b; t) = exp(t) * M(b - a; b; -t)`` is applied so that all summed
-    terms are positive.  The terms after the leading 1 are summed in linear
-    scale, divided by their running sum whenever it passes 1e280, whose log
-    is carried; with no such rescale the result is ``log1p`` of the sum.
-    Accurate to about 1e-15 relative for ``0 < t <= 1e4``; for ``t < 0`` the
-    transformation adds an absolute error of about ``2e-16 |t|``.
-    Raises :class:`NoConvergence` past a million terms.
+    Requires ``b > a > 0``.  For ``t = -T < 0``, ``M`` is the mean of
+    ``pi_q = prod_{j<q} (1 - a / (b + j))`` under ``q ~ Poisson(T)``, with
+    the weights formed by ratios outward from the mode on ``T +- (14 sqrt(T
+    + 8) + 60)`` (within the term budget); where the mean of ``1 - pi_q`` is
+    below 1/2, ``ln M`` is its ``log1p`` and keeps its relative accuracy
+    however small (``a << b``).  Elsewhere the transformation ``M(a; b; t) =
+    exp(t) * M(b - a; b; -t)`` makes all summed terms positive, at an
+    absolute error of about ``2e-16 |t|``.  The terms after the leading 1 are
+    summed in linear scale, divided by their running sum whenever it passes
+    1e280, whose log is carried; with no such rescale the result is
+    ``log1p`` of the sum.  Accurate to about 1e-15 relative for ``0 < t <=
+    1e4``.  Raises :class:`NoConvergence` past a million terms.
     """
     if not (b > a > 0.0):
         raise ValueError(f"require b > a > 0, got a={a}, b={b}")
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
     if t < 0.0:
+        big_t = -t
+        reach = 14.0 * math.sqrt(big_t + 8.0) + 60.0
+        lo, hi, mode = max(0, int(big_t - reach)), int(big_t + reach) + 1, int(big_t)
+        if hi <= _KUMMER_MAX_TERMS:
+            log_pi = np.cumsum(np.log1p(-a / (b + np.arange(hi))))
+            drop = -np.expm1(np.concatenate(([0.0], log_pi))[lo:])
+            q = np.arange(lo, hi + 1, dtype=float)
+            w = np.ones_like(q)
+            w[mode - lo + 1:] = np.cumprod(big_t / q[mode - lo + 1:])
+            w[:mode - lo] = np.cumprod(q[mode - lo:0:-1] / big_t)[::-1]
+            mean_drop = float(w @ drop) / float(w.sum())
+            if mean_drop < 0.5:
+                return math.log1p(-mean_drop)
         return t + kummer_m_log(b - a, b, -t)
     term, total, log_scale, run = 1.0, 0.0, 0.0, 0
     for q in range(_KUMMER_MAX_TERMS):

@@ -70,14 +70,15 @@ def solve_increasing(newton, d, *, guess):
     """Root of the strictly increasing moment ``g(x) = p(x) . d``, its
     diagnostics, and what ``newton`` returned there.
 
-    ``newton(x)`` returns ``(p, g'(x), kept)``, with weights ``p`` summing to
-    1 on labels ``d`` around 0 that span at most 1; in place of ``g'(x)`` it
-    may return the cumulants ``(g', g'', g''')``.  Newton steps on the
-    residual ``psi = ln A - ln B - ln(-d_min / d_max)``, ``A = p . (d - d_min)``
-    and ``B = p . (d_max - d)``: sums of nonnegative terms, so nothing cancels
-    near an edge.  ``psi`` vanishes with ``g``, ``|psi| >= 4 |g|`` to first
-    order, ``psi' = g' (1/A + 1/B)``, and ``psi = -inf`` or ``inf`` where
-    ``A`` or ``B`` underflows.  From an evaluation that returned the
+    ``newton(x, first) -> (p, kappa, kept)``: weights ``p`` summing to 1 on
+    labels ``d`` around 0 that span at most 1, and ``kappa = (g'(x),)``, or
+    the cumulants ``(g', g'', g''')`` where ``first``, the solve's first
+    evaluation, asks for them.  Newton steps on the residual ``psi = ln A -
+    ln B - ln(-d_min / d_max)``, ``A = p . (d - d_min)`` and ``B = p .
+    (d_max - d)``: sums of nonnegative terms, so nothing cancels near an
+    edge.  ``psi`` vanishes with ``g``, ``|psi| >= 4 |g|`` to first order,
+    ``psi' = g' (1/A + 1/B)``, and ``psi = -inf`` or ``inf`` where ``A`` or
+    ``B`` underflows.  From an evaluation that returned the higher
     cumulants, the step goes instead to the root of their model of ``psi``
     (:func:`_model_step`).  Every evaluation narrows the bracket, whose
     sides stand at ``-inf`` and ``inf`` until evaluated.  A step that leaves
@@ -93,8 +94,7 @@ def solve_increasing(newton, d, *, guess):
     seed = x = float(guess)
     lo, hi = -math.inf, math.inf
     for evals in range(1, MAX_EVALS + 1):
-        p, kappa, kept = newton(x)
-        kappa = kappa if isinstance(kappa, tuple) else (kappa,)
+        p, kappa, kept = newton(x, evals == 1)
         slope = kappa[0]
         A, B = (p @ edges).tolist()
         if A > 0.0 < B:
@@ -208,18 +208,11 @@ def solve_beta_detailed(p: Problem, beta_cap: float = math.inf
     f, a, log_gamma = p.arrays
     d, span = normalization.unit_span(f, p.moment_target)
 
-    seed = _seed(d, a)
+    def newton(t, first):
+        ev, kappa = normalization.moment_and_slope(d, a, log_gamma, t, cumulants=first)
+        return ev.means, kappa, ev
 
-    def newton(t):
-        # No iterate repeats an evaluated one, so only the first forms the
-        # higher cumulants for the model step.
-        if t != seed:
-            ev = normalization.moment_and_slope(d, a, log_gamma, t)
-            return ev.means, ev.slope, ev
-        ev, k3, k4 = normalization.moment_and_slope(d, a, log_gamma, t, cumulants=True)
-        return ev.means, (ev.slope, k3, k4), ev
-
-    tau, diag, ev = solve_increasing(newton, d, guess=seed)
+    tau, diag, ev = solve_increasing(newton, d, guess=_seed(d, a))
     if abs(tau) > beta_cap:
         raise Diverged(f"the tilt {tau:g} lies past the cap {beta_cap:g}")
     beta, (lo, hi) = tau / span, diag.bracket

@@ -17,7 +17,7 @@ from momentbayes import (
 )
 from momentbayes import normalization
 from momentbayes.errors import MomentBayesError, NoConvergence
-from momentbayes.normalization import (_TAIL, _V_MAX, _contour, _nodes, _reach, _saddle,
+from momentbayes.normalization import (_TAIL, _V_MAX, _contour, _reach, _saddle,
                                         moment_and_slope, unit_span)
 from momentbayes.oracle import kummer_m_log, series_zeta
 
@@ -88,9 +88,14 @@ class TestKummer:
         )
 
     @pytest.mark.parametrize("a,b,t", [(1e-8, 1.0, 1.0), (0.5, 1.0, 1e-9), (3.0, 7.0, -1e-6),
-                                       (3.0, 9.0, 800.0), (2.5, 3.0, 1e4)])
+                                       (3.0, 9.0, 800.0), (2.5, 3.0, 1e4),
+                                       (0.00172, 195.7, -5728.0), (0.00163, 622.6, -1.27),
+                                       (762.74, 762.75, -518.0)])
     def test_matches_mpmath_hyp1f1(self, a, b, t):
         # A tiny a or t leaves ln M far below 1, which log(1 + sum) loses.
+        # So does a << b at t < 0, where t + ln M(b - a; b; -t) cancels to
+        # it.  With a close to b most of the Poisson mean of pi_q sits at q
+        # = 0, outside the window about -t.
         with mp.workdps(40):
             ref = float(mp.log(mp.hyp1f1(mp.mpf(a), mp.mpf(b), mp.mpf(t))))
         assert kummer_m_log(a, b, t) == pytest.approx(ref, rel=1e-14, abs=0.0)
@@ -331,6 +336,14 @@ def tail_bound_cases():
             yield a, tau * (d - d[int(np.argmax(tau * d))])
 
 
+def log_modulus(v, mu, d, a):
+    """Each term's log-modulus over the saddle's at nodes ``v``, in complex
+    arithmetic: ``Re(s - mu) - sum_i a_i ln|1 + (s - mu) / d_i| + ln|s'(v) /
+    2 mu|``, with ``|s'(v)|^2 = 4 mu^2 cosh 2v``."""
+    z = 2.0 * mu * ((1.0 - np.cosh(v)) + 1j * np.sinh(v))  # s - mu
+    return z.real - np.log(np.abs(1.0 + z[:, None] / d)) @ a + 0.5 * np.log(np.cosh(2.0 * v))
+
+
 def tail_bound(v, mu, d, a):
     """``-4 mu t + v + sum_{u_i < 1/2} a_i min(4 u_i (1 - 2 u_i) t, kappa_i)``,
     ``t = sinh^2(v/2)``, over every term's log-modulus, and its rate of fall
@@ -359,21 +372,25 @@ class TestContour:
             assert abs(slope - ref_slope) <= 1e-12 * ref_slope
 
     def test_tail_bound(self):
-        # On a dense grid every term lies under the bound, the bound is below
-        # -_TAIL from _reach's v on, and the terms stay below -_TAIL from the
-        # last node on.
+        # The contour's weights have the terms' log-modulus.  On a dense grid
+        # every term lies under the bound, the bound is below -_TAIL from
+        # _reach's v on, and the terms stay below -_TAIL from the last node on.
         for a, c in tail_bound_cases():
             mu, _ = _saddle(a.tolist(), c.tolist())
             d = mu - c
             _, h, w, *_ = _contour(a, c, 0.0)
             v_max, v_last = _reach(mu, d, a, h), h * (len(w) - 1)
             assert v_last <= v_max + h
+            nodes = h * np.arange(len(w))
+            kept = np.log(np.abs(w)) - math.log(2.0) * (nodes > 0.0)
+            scale = 4.0 * mu * np.sinh(0.5 * nodes) ** 2 + float(a.sum())
+            assert np.all(np.abs(kept - log_modulus(nodes, mu, d, a)) <= 1e-12 * scale)
             v = np.linspace(0.0, min(1.5 * v_max, _V_MAX), 4000)
-            log_modulus, bound = _nodes(v, mu, d, a)[0], tail_bound(v, mu, d, a)[0]
+            terms, bound = log_modulus(v, mu, d, a), tail_bound(v, mu, d, a)[0]
             scale = 4.0 * mu * np.sinh(0.5 * v) ** 2 + float(a.sum())
-            assert np.all(log_modulus <= bound + 1e-12 * scale)
+            assert np.all(terms <= bound + 1e-12 * scale)
             assert np.all(bound[v >= v_max] < -_TAIL)
-            assert np.all(log_modulus[v >= v_last] < -_TAIL)
+            assert np.all(terms[v >= v_last] < -_TAIL)
 
     @pytest.mark.parametrize("mu", [1e-15, 1e-9, 1e-4, 1.0 / 161.0, 1.0 / 160.0, 0.1, 10.0, 1e4])
     def test_tail_bound_falls_at_its_reach(self, mu):
@@ -397,12 +414,15 @@ class TestContour:
         # at counts x1e15 solves at once.
         passes = []
 
-        def counting(v, mu, d, a):
-            out = _nodes(v, mu, d, a)
-            passes.append((len(v), int(np.flatnonzero(out[0] > -_TAIL).max()) + 2))
+        def counting(a, c, log_gamma):
+            out = _contour(a, c, log_gamma)
+            modulus = np.abs(out[2])
+            modulus[1:] *= 0.5  # the weights of j >= 1 stand for -v_j too
+            kept = int(np.flatnonzero(modulus > math.exp(-_TAIL)).max()) + 2
+            passes.append((len(modulus), kept))
             return out
 
-        monkeypatch.setattr(normalization, "_nodes", counting)
+        monkeypatch.setattr(normalization, "_contour", counting)
         multipliers = []
         for e in (3, 6, 9, 11, 12, 15, 18):
             scale = 10**e
@@ -413,7 +433,7 @@ class TestContour:
             else:
                 multipliers.append(full_update(p).beta / scale)
             assert e != 15 or time.perf_counter() - start < 0.1
-            assert all(computed <= 2 * kept for computed, kept in passes)
+            assert passes and all(computed <= 2 * kept for computed, kept in passes)
             passes.clear()
         assert multipliers == pytest.approx([multipliers[-1]] * 3, rel=1e-12)
 
@@ -628,14 +648,14 @@ class TestMomentAndSlopeConsistency:
         for _ in range(15):
             p = random_problem(rng, k=int(rng.integers(2, 4)))
             beta = float(rng.uniform(-12, 12))
-            mom, slope = moment_and_slope(*p.arrays, beta)[2:4]
+            mom, slope = moment_and_slope(*p.arrays, beta)[0][2:4]
             assert mom == pytest.approx(evaluate(p, beta).moment, abs=1e-9)
             assert slope == pytest.approx(quadrature_variance(p, beta), abs=1e-9)
             # evaluate is the solver's pass: on the unit-span labels at beta *
             # span, in problem units.
             f, a, log_gamma = p.arrays
             d, span = unit_span(f, p.moment_target)
-            ev = moment_and_slope(d, a, log_gamma, beta * span)
+            ev = moment_and_slope(d, a, log_gamma, beta * span)[0]
             assert evaluate(p, beta).slope == ev.slope * span * span
 
     @pytest.mark.parametrize("beta", [0.0, 0.7, -2.0, 14.1])
@@ -647,9 +667,10 @@ class TestMomentAndSlopeConsistency:
         f, a, log_gamma = demo.arrays
         d, span = unit_span(f, demo.moment_target)
         tau, h = beta * span, 1e-2
-        ev, k3, k4 = moment_and_slope(d, a, log_gamma, tau, cumulants=True)
-        assert ev == moment_and_slope(d, a, log_gamma, tau)._replace(means=ev.means)
-        s = [moment_and_slope(d, a, log_gamma, tau + j * h).slope for j in (-2, -1, 0, 1, 2)]
+        ev, (k2, k3, k4) = moment_and_slope(d, a, log_gamma, tau, cumulants=True)
+        assert ev == moment_and_slope(d, a, log_gamma, tau)[0]._replace(means=ev.means)
+        assert k2 == ev.slope
+        s = [moment_and_slope(d, a, log_gamma, tau + j * h)[0].slope for j in (-2, -1, 0, 1, 2)]
         assert k3 == pytest.approx((s[0] - 8.0 * s[1] + 8.0 * s[3] - s[4]) / (12.0 * h),
                                    rel=1e-9)
         assert k4 == pytest.approx(
@@ -663,7 +684,7 @@ class TestMomentAndSlopeConsistency:
         mean = np.asarray(DEMO_BAYES)
         f = np.asarray(demo.model.labels)
         cov = (np.diag(mean) - np.outer(mean, mean)) / (20 + 3 + 1)
-        mom, slope = moment_and_slope(*demo.arrays, beta)[2:4]
+        mom, slope = moment_and_slope(*demo.arrays, beta)[0][2:4]
         assert mom == pytest.approx(DEMO_BAYES_MOMENT, rel=1e-14)
         assert slope == pytest.approx(float(f @ cov @ f), rel=1e-12)
         assert evaluate(demo, beta).slope == slope

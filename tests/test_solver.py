@@ -14,8 +14,10 @@ from momentbayes import (
     normalization,
     solve_beta,
     solve_beta_detailed,
+    solver,
     sweep,
 )
+from momentbayes.comparator import empirical_frequencies, solve_tilt
 from momentbayes.errors import DegenerateLabels, Diverged, NoConvergence
 from momentbayes.solver import MAX_EVALS, _model_step, solve_increasing
 from momentbayes.solver import TOL as UNIT_TOL
@@ -29,6 +31,7 @@ from conftest import (
     DEMO_MEANS,
     DEMO_TARGET,
     DEMO_ZETA,
+    extreme_problems,
     near_edge_problems,
     random_problem,
     saddle_point_tilt,
@@ -190,6 +193,22 @@ class TestSolveBeta:
             (r * B - A) / (k2 * (1.0 + r)), rel=1e-14)
         assert _model_step(step, psi, A, B, k2, 0.0, 1e6) == step
 
+    def test_tilt_solve_takes_no_model_step(self, demo, monkeypatch):
+        # The comparator's callback returns the slope alone, first evaluation
+        # included, so its tilt solve steps plain Newton throughout.
+        steps = []
+        inner = solver._model_step
+
+        def counting(*args):
+            steps.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(solver, "_model_step", counting)
+        with_data = (p for p in extreme_problems(1500, 0) if p.data.n)
+        for p in [demo, *(next(with_data) for _ in range(20))]:
+            solve_tilt(empirical_frequencies(p.data), p.arrays[0], p.moment_target)
+        assert steps == []
+
     @pytest.mark.parametrize("offset", [-2.5, 0.75, 1e6, -1e6, 1e7])
     def test_shift_invariance(self, offset):
         # Labels and target shifted together; the target is the one the
@@ -246,11 +265,11 @@ class TestSolveBeta:
         # budget is spent.
         calls = []
 
-        def newton(x):
+        def newton(x, first):
             calls.append(x)
             e = math.exp(x - 1.0)
             p = np.array([1.0, e]) / (1.0 + e)
-            return p, 1e6 * p[0] * p[1], None
+            return p, (1e6 * p[0] * p[1],), None
 
         with pytest.raises(NoConvergence, match="within 200 evaluations"):
             solve_increasing(newton, np.array([-0.5, 0.5]), guess=0.0)
@@ -263,10 +282,10 @@ class TestSolveBeta:
         # scale, then plainly, closes it on two adjacent floats.
         calls = []
 
-        def newton(x):
+        def newton(x, first):
             calls.append(x)
             p = np.array([1.0, 0.0]) if x < 0.3 else np.array([0.0, 1.0])
-            return p, 0.0, None
+            return p, (0.0,), None
 
         with pytest.raises(NoConvergence, match="no float left"):
             solve_increasing(newton, np.array([-0.5, 0.5]), guess=0.0)
@@ -281,11 +300,11 @@ class TestSolveBeta:
         # at its last iterate.
         calls = []
 
-        def newton(x):
+        def newton(x, first):
             calls.append(x)
             e = math.exp(-1e-13 if x < 0.3 else 1e-13)
             p = np.array([1.0, e]) / (1.0 + e)
-            return p, 1e-14 * p[0] * p[1], None
+            return p, (1e-14 * p[0] * p[1],), None
 
         x, diag, _ = solve_increasing(newton, np.array([-0.5, 0.5]), guess=0.0)
         assert x == calls[-1] and diag.evaluations == len(calls) <= 70
@@ -338,10 +357,8 @@ class TestFullUpdate:
         inner = normalization.moment_and_slope
 
         def scaled(*args, **kwargs):
-            out = inner(*args, **kwargs)
-            if kwargs:  # the first evaluation: (ev, kappa_3, kappa_4)
-                return (out[0]._replace(means=out[0].means * (1.0 + 1e-9)), *out[1:])
-            return out._replace(means=out.means * (1.0 + 1e-9))
+            ev, kappa = inner(*args, **kwargs)
+            return ev._replace(means=ev.means * (1.0 + 1e-9)), kappa
 
         monkeypatch.setattr(normalization, "moment_and_slope", scaled)
         with pytest.raises(NoConvergence, match="inconsistent solution"):
@@ -375,8 +392,9 @@ class TestFullUpdate:
         inner = normalization.moment_and_slope
 
         def keeping(*args, **kwargs):
-            seen.append(inner(*args, **kwargs))
-            return seen[-1]
+            out = inner(*args, **kwargs)
+            seen.append(out[0])
+            return out
 
         monkeypatch.setattr(normalization, "moment_and_slope", keeping)
         res = full_update(demo)

@@ -48,10 +48,10 @@ class TestSolveIncreasing:
         # A two-label tilt, p = ((1 - t)/2, (1 + t)/2) on d = (-0.75, 0.25)
         # with t = tanh(x - 50): its moment (t - 0.5)/2 vanishes at t = 0.5.
         # At the guess 0, t is -1.0 in floating point, so A underflows to 0.
-        def newton(x):
+        def newton(x, first):
             xs.append(x)
             t = math.tanh(x - 50.0)
-            return np.array([(1.0 - t) / 2.0, (1.0 + t) / 2.0]), (1.0 - t * t) / 2.0, None
+            return np.array([(1.0 - t) / 2.0, (1.0 + t) / 2.0]), ((1.0 - t * t) / 2.0,), None
         return newton
 
     def test_flat_tail_without_cap(self):
@@ -72,12 +72,12 @@ class TestSolveIncreasing:
         # per evaluation until Newton takes over.
         xs = []
 
-        def newton(x):
+        def newton(x, first):
             xs.append(x)
             e = math.exp(-abs(x))
             far, near = e / (1.0 + e), 1.0 / (1.0 + e)
             p = np.array([near, far] if x < 0.0 else [far, near])
-            return p, far * near or 1.0, None
+            return p, (far * near or 1.0,), None
 
         x, diag, _ = solve_increasing(newton, np.array([-0.5, 0.5]), guess=guess)
         assert all(math.isfinite(v) for v in xs)
